@@ -87,7 +87,7 @@ pub fn false_data_attack(
             Defense::Off => MajorityVote.decide(&cluster, &ReputationStore::new()),
             Defense::On => WeightedVote.decide(&cluster, &reputation),
         };
-        outcome.record(decided != truth);
+        outcome.record(decided != truth, SimTime::ZERO, None);
     }
     outcome
 }
@@ -121,7 +121,7 @@ pub fn sybil_attack(
             Defense::Off => MajorityVote.decide(&cluster, &reputation),
             Defense::On => WeightedVote.decide(&cluster, &reputation),
         };
-        outcome.record(decided != truth);
+        outcome.record(decided != truth, SimTime::ZERO, None);
     }
     outcome
 }

@@ -67,7 +67,7 @@ pub fn replay_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> Attac
                 sig_ok && guard.check(digest, msg.sent_at, later) == ReplayVerdict::Fresh
             }
         };
-        outcome.record(success);
+        outcome.record(success, SimTime::ZERO, None);
     }
     outcome
 }
@@ -98,7 +98,7 @@ pub fn impersonation_attack(defense: Defense, trials: usize) -> AttackOutcome {
             )
             .is_ok(),
         };
-        outcome.record(success);
+        outcome.record(success, SimTime::ZERO, None);
     }
     outcome
 }
@@ -125,7 +125,7 @@ pub fn mitm_tamper_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> 
             )
             .is_ok(),
         };
-        outcome.record(success);
+        outcome.record(success, SimTime::ZERO, None);
     }
     outcome
 }
@@ -161,7 +161,7 @@ pub fn eavesdrop_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> At
                 open(&guess, &nonce, &on_air).is_some()
             }
         };
-        outcome.record(success);
+        outcome.record(success, SimTime::ZERO, None);
     }
     outcome
 }
@@ -193,7 +193,7 @@ pub fn suppression_attack(
                 break;
             }
         }
-        outcome.record(!delivered);
+        outcome.record(!delivered, SimTime::ZERO, None);
     }
     outcome
 }
@@ -230,7 +230,7 @@ pub fn delay_attack(
             }
             best_latency = best_latency.min(latency);
         }
-        outcome.record(best_latency > deadline_ms);
+        outcome.record(best_latency > deadline_ms, SimTime::ZERO, None);
     }
     outcome
 }
@@ -283,7 +283,7 @@ pub fn dos_flood_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> At
                 }
             }
         };
-        outcome.record(expensive_work);
+        outcome.record(expensive_work, SimTime::ZERO, None);
     }
     outcome
 }

@@ -1,5 +1,7 @@
 //! Attack outcome accounting shared by every adversary module.
 
+use vc_sim::time::SimTime;
+
 /// The result of running one attack scenario many times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AttackOutcome {
@@ -15,23 +17,15 @@ impl AttackOutcome {
         AttackOutcome { attempts: 0, successes: 0 }
     }
 
-    /// Records one attempt.
-    pub fn record(&mut self, success: bool) {
+    /// Records one attempt. With a recorder, also emits an
+    /// `attacks`/`attempt` event at `at` with the outcome and bumps the
+    /// `attacks.success` counter on success, so traces show injected vs.
+    /// successful attacks over time.
+    pub fn record(&mut self, success: bool, at: SimTime, rec: Option<&mut vc_obs::Recorder>) {
         self.attempts += 1;
         if success {
             self.successes += 1;
         }
-    }
-
-    /// Records one attempt and emits an `attacks`/`attempt` event with the
-    /// outcome, so traces show injected vs. successful attacks over time.
-    pub fn record_obs(
-        &mut self,
-        success: bool,
-        at: vc_sim::time::SimTime,
-        rec: Option<&mut vc_obs::Recorder>,
-    ) {
-        self.record(success);
         if let Some(r) = rec {
             r.event(at, "attacks", "attempt", vec![("success", success.into())]);
             if success {
@@ -70,26 +64,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_obs_counts_and_emits() {
-        let mut o = AttackOutcome::new();
+    fn record_with_recorder_counts_identically_and_emits() {
+        let (mut plain, mut traced) = (AttackOutcome::new(), AttackOutcome::new());
         let mut rec = vc_obs::Recorder::new();
-        let at = vc_sim::time::SimTime::from_secs(1);
-        o.record_obs(true, at, Some(&mut rec));
-        o.record_obs(false, at, Some(&mut rec));
-        o.record_obs(true, at, None);
-        assert_eq!(o.attempts, 3);
-        assert_eq!(o.successes, 2);
-        assert_eq!(rec.hub().counter("attacks.attempt"), 2);
-        assert_eq!(rec.hub().counter("attacks.success"), 1);
+        let at = SimTime::from_secs(1);
+        for success in [true, false, true] {
+            plain.record(success, at, None);
+            traced.record(success, at, Some(&mut rec));
+        }
+        assert_eq!(plain, traced);
+        assert_eq!((traced.attempts, traced.successes), (3, 2));
+        assert_eq!(rec.hub().counter("attacks.attempt"), 3);
+        assert_eq!(rec.hub().counter("attacks.success"), 2);
     }
 
     #[test]
     fn rate_computation() {
         let mut o = AttackOutcome::new();
         assert_eq!(o.rate(), 0.0);
-        o.record(true);
-        o.record(false);
-        o.record(true);
+        o.record(true, SimTime::ZERO, None);
+        o.record(false, SimTime::ZERO, None);
+        o.record(true, SimTime::ZERO, None);
         assert!((o.rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(o.to_string(), "2/3 (66.7%)");
     }

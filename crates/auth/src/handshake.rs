@@ -143,7 +143,7 @@ pub fn respond(
 }
 
 /// Environment an observed handshake runs in (trust anchors plus the
-/// modeled one-hop V2V latency). Bundled so [`run_handshake_obs`] keeps a
+/// modeled one-hop V2V latency). Bundled so [`run_handshake`] keeps a
 /// small signature.
 pub struct HandshakeObsParams<'a> {
     /// The trusted authority's verification key.
@@ -158,7 +158,7 @@ pub struct HandshakeObsParams<'a> {
     pub hop: SimDuration,
 }
 
-/// Runs a complete initiator↔responder handshake with instrumentation:
+/// Runs a complete initiator↔responder handshake. With a recorder, emits
 /// an `auth`/`handshake` span covering the exchange plus one event per
 /// protocol phase (`handshake.hello`, `handshake.accept`,
 /// `handshake.finish`), each stamped with the modeled sim-time the phase
@@ -168,7 +168,7 @@ pub struct HandshakeObsParams<'a> {
 /// # Errors
 ///
 /// Any [`AuthError`] from either side of the exchange.
-pub fn run_handshake_obs(
+pub fn run_handshake(
     a_wallet: &PseudonymWallet,
     b_wallet: &PseudonymWallet,
     params: &HandshakeObsParams<'_>,
@@ -361,7 +361,7 @@ impl vc_obs::MemSize for SessionCache {
     }
 }
 
-/// [`run_handshake_obs`] with session-key reuse: when both sides hold a
+/// [`run_handshake`] with session-key reuse: when both sides hold a
 /// fresh cached session for the other's current pseudonym, the DH exchange
 /// is skipped and the cached key returned (`resumed == true`, one
 /// `auth`/`handshake.resume` event, zero modeled hops). Otherwise the full
@@ -396,7 +396,7 @@ pub fn run_handshake_cached(
             return Ok((ka, true));
         }
     }
-    let key = run_handshake_obs(a_wallet, b_wallet, params, start, entropy, rec)?;
+    let key = run_handshake(a_wallet, b_wallet, params, start, entropy, rec)?;
     let established = start + params.hop + params.hop;
     a_cache.insert(b_wallet.current_cert(), key, established);
     b_cache.insert(a_wallet.current_cert(), key, established);
@@ -537,8 +537,7 @@ mod tests {
         };
         let mut rec = Recorder::new();
         let start = SimTime::from_secs(10);
-        let key =
-            run_handshake_obs(&net.alice, &net.bob, &params, start, 7, Some(&mut rec)).unwrap();
+        let key = run_handshake(&net.alice, &net.bob, &params, start, 7, Some(&mut rec)).unwrap();
         assert!(!key.0.iter().all(|&b| b == 0));
         assert_eq!(rec.hub().counter("auth.handshake.hello"), 1);
         assert_eq!(rec.hub().counter("auth.handshake.accept"), 1);
@@ -551,7 +550,7 @@ mod tests {
         assert_eq!(rec.open_spans(), 0);
         // The no-probe path derives the same key: tracing is behaviourally
         // inert.
-        let silent = run_handshake_obs(&net.alice, &net.bob, &params, start, 7, None).unwrap();
+        let silent = run_handshake(&net.alice, &net.bob, &params, start, 7, None).unwrap();
         assert_eq!(silent.0, key.0);
     }
 
@@ -568,15 +567,9 @@ mod tests {
             hop: SimDuration::from_millis(3),
         };
         let mut rec = Recorder::new();
-        let err = run_handshake_obs(
-            &net.alice,
-            &net.bob,
-            &params,
-            SimTime::from_secs(10),
-            7,
-            Some(&mut rec),
-        )
-        .unwrap_err();
+        let err =
+            run_handshake(&net.alice, &net.bob, &params, SimTime::from_secs(10), 7, Some(&mut rec))
+                .unwrap_err();
         assert_eq!(err, AuthError::Revoked);
         assert_eq!(rec.hub().counter("auth.handshake.fail"), 1);
         assert_eq!(rec.hub().counter("auth.handshake.accept"), 0);
@@ -716,9 +709,9 @@ mod tests {
         // Three distinct peer certs from Bob's pool.
         let mut bob = net.bob;
         let c0 = bob.current_cert().clone();
-        bob.rotate();
+        bob.rotate(SimTime::ZERO, None);
         let c1 = bob.current_cert().clone();
-        bob.rotate();
+        bob.rotate(SimTime::ZERO, None);
         let c2 = bob.current_cert().clone();
         cache.insert(&c0, key, now);
         cache.insert(&c1, key, now);

@@ -53,7 +53,7 @@ pub mod prelude {
         GroupCoordinator, GroupId, GroupMessage, MemberCredential, MemberTag,
     };
     pub use crate::handshake::{
-        respond as handshake_respond, run_handshake_cached, run_handshake_obs, HandshakeMessage,
+        respond as handshake_respond, run_handshake, run_handshake_cached, HandshakeMessage,
         HandshakeObsParams, Initiator, SessionCache,
     };
     pub use crate::hybrid::{HybridCredential, HybridMessage, RegionalIssuer, TaOpening};

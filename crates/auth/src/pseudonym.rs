@@ -125,15 +125,11 @@ impl PseudonymWallet {
     /// Rotates to the next pseudonym in the pool (wrapping). Rotation is the
     /// unlinkability lever: the more often a vehicle rotates, the shorter
     /// the window an eavesdropper can link.
-    pub fn rotate(&mut self) {
+    ///
+    /// With a recorder, emits one `auth`/`pseudonym.switch` event at
+    /// sim-time `at` carrying the new pseudonym id and the pool size.
+    pub fn rotate(&mut self, at: SimTime, rec: Option<&mut vc_obs::Recorder>) {
         self.current = (self.current + 1) % self.certs.len();
-    }
-
-    /// [`PseudonymWallet::rotate`] with instrumentation: emits one
-    /// `auth`/`pseudonym.switch` event at sim-time `at` carrying the new
-    /// pseudonym id and the pool size. The rotation itself is identical.
-    pub fn rotate_obs(&mut self, at: SimTime, rec: Option<&mut vc_obs::Recorder>) {
-        self.rotate();
         if let Some(rec) = rec {
             rec.event(
                 at,
@@ -554,17 +550,19 @@ mod tests {
     use vc_sim::time::SimDuration;
 
     #[test]
-    fn rotate_obs_switches_and_emits() {
-        let (_ta, _registry, mut wallet) = setup();
-        let before = wallet.current_pseudonym();
+    fn rotate_with_recorder_switches_identically_and_emits() {
+        let (_ta, _registry, mut plain) = setup();
+        let (_ta, _registry, mut traced) = setup();
+        let before = plain.current_pseudonym();
         let mut rec = vc_obs::Recorder::new();
-        wallet.rotate_obs(SimTime::from_secs(1), Some(&mut rec));
-        assert_ne!(wallet.current_pseudonym(), before);
-        assert_eq!(rec.hub().counter("auth.pseudonym.switch"), 1);
-        // None-probe rotation still rotates.
-        let mid = wallet.current_pseudonym();
-        wallet.rotate_obs(SimTime::from_secs(2), None);
-        assert_ne!(wallet.current_pseudonym(), mid);
+        for i in 1..=3 {
+            plain.rotate(SimTime::from_secs(i), None);
+            traced.rotate(SimTime::from_secs(i), Some(&mut rec));
+            assert_eq!(plain.current_pseudonym(), traced.current_pseudonym());
+        }
+        assert_ne!(plain.current_pseudonym(), before);
+        assert_eq!(rec.hub().counter("auth.pseudonym.switch"), 3);
+        assert_eq!(rec.events().last().unwrap().at, SimTime::from_secs(3));
     }
 
     fn setup() -> (TrustedAuthority, PseudonymRegistry, PseudonymWallet) {
@@ -707,7 +705,7 @@ mod tests {
         let now = SimTime::from_secs(10);
         let before = wallet.current_pseudonym();
         let m1 = wallet.sign(b"a", now);
-        wallet.rotate();
+        wallet.rotate(SimTime::ZERO, None);
         let after = wallet.current_pseudonym();
         let m2 = wallet.sign(b"b", now);
         assert_ne!(before, after);
@@ -715,7 +713,7 @@ mod tests {
         assert_eq!(verify(&m2, &ta.public_key(), reg.crl(), now, window()), Ok(()));
         // Rotation wraps around the pool.
         for _ in 0..5 {
-            wallet.rotate();
+            wallet.rotate(SimTime::ZERO, None);
         }
         assert_eq!(wallet.current_pseudonym(), after);
     }
@@ -848,7 +846,7 @@ mod tests {
         let (_ta, _reg, mut wallet) = setup();
         let before = wallet.current_cert().id;
         assert_eq!(before, wallet.current_pseudonym());
-        wallet.rotate();
+        wallet.rotate(SimTime::ZERO, None);
         assert_eq!(wallet.current_cert().id, wallet.current_pseudonym());
         assert_ne!(wallet.current_cert().id, before);
     }

@@ -64,7 +64,7 @@ prop! {
             .unwrap();
         reg.revoke_identity(&bad);
         for _ in 0..rotations {
-            bad_wallet.rotate();
+            bad_wallet.rotate(SimTime::ZERO, None);
         }
         let now = SimTime::from_secs(10);
         let window = SimDuration::from_secs(5);

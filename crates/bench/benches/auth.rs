@@ -20,7 +20,7 @@ fn window() -> SimDuration {
 vc_obs::counting_allocator!();
 
 fn main() {
-    vc_obs::mem::register_bench_probe();
+    vc_testkit::bench::set_alloc_probe(vc_obs::mem::thread_counters);
     let mut suite = Suite::new("auth");
 
     // ---- pseudonyms ----

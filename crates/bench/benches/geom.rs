@@ -34,7 +34,7 @@ fn positions(n: usize, extent: f64, seed: u64) -> Vec<Point> {
 vc_obs::counting_allocator!();
 
 fn main() {
-    vc_obs::mem::register_bench_probe();
+    vc_testkit::bench::set_alloc_probe(vc_obs::mem::thread_counters);
     let mut suite = Suite::new("geom");
 
     // ---- nearest-road / nearest-node: index vs linear scan ----

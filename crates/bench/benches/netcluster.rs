@@ -9,6 +9,7 @@ use vc_sim::geom::Point;
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::scenario::ScenarioBuilder;
+use vc_sim::time::SimTime;
 use vc_testkit::bench::{black_box, Suite};
 
 struct Snapshot {
@@ -46,7 +47,7 @@ fn routing_rounds<P: RoutingProtocol>(proto: P) -> u64 {
 vc_obs::counting_allocator!();
 
 fn main() {
-    vc_obs::mem::register_bench_probe();
+    vc_testkit::bench::set_alloc_probe(vc_obs::mem::thread_counters);
     let mut suite = Suite::new("netcluster");
 
     // ---- neighbor table construction ----
@@ -67,10 +68,10 @@ fn main() {
             neighbors: &snap.table,
         };
         suite.bench(&format!("clustering/form/multi_hop/{n}"), || {
-            form_clusters(black_box(&world), &ClusterConfig::multi_hop())
+            form_clusters(black_box(&world), &ClusterConfig::multi_hop(), SimTime::ZERO, None)
         });
         suite.bench(&format!("clustering/form/moving_zone/{n}"), || {
-            form_clusters(black_box(&world), &ClusterConfig::moving_zone())
+            form_clusters(black_box(&world), &ClusterConfig::moving_zone(), SimTime::ZERO, None)
         });
     }
 

@@ -17,7 +17,7 @@ use vc_testkit::bench::{black_box, Suite};
 vc_obs::counting_allocator!();
 
 fn main() {
-    vc_obs::mem::register_bench_probe();
+    vc_testkit::bench::set_alloc_probe(vc_obs::mem::thread_counters);
     let mut suite = Suite::new("parallel");
 
     // ---- sharded mobility step (vehicle-ticks throughput) ----

@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use vc_testkit::json::Json;
+use vc_obs::json::Json;
 
 /// One benchmark's comparable numbers.
 #[derive(Debug, Clone, Copy)]

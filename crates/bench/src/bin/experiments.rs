@@ -189,8 +189,10 @@ fn main() {
     );
 
     let emit = |id: &str, table: &vc_bench::Table, secs: f64| {
-        println!("{}", table.render());
-        println!("  [{id} completed in {secs:.1}s]\n");
+        println!("{}\n", table.render());
+        // Wall-clock timing goes to stderr so stdout stays a pure function
+        // of (seed, flags) and can be byte-compared across runs.
+        eprintln!("  [{id} completed in {secs:.1}s]");
         if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir).expect("create json dir");
             let path = format!("{dir}/{id}.json");

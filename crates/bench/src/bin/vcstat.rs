@@ -14,7 +14,7 @@
 //! vcstat out.jsonl --causal --json # machine-readable output for any mode
 //! ```
 //!
-//! Reads the event stream back with `vc_testkit`'s JSON parser (the same
+//! Reads the event stream back with `vc_obs::json`'s parser (the same
 //! writer produced it), so the tool needs no external dependencies. Output
 //! is deterministic: components and kinds sort lexically, span ties break
 //! on timestamp then span id.
@@ -28,8 +28,8 @@
 //! other number then reflects only the retained window.
 
 use std::collections::{BTreeMap, HashMap};
+use vc_obs::json::Json;
 use vc_obs::Histogram;
-use vc_testkit::json::Json;
 
 // Install the counting allocator so this binary's own memory behaviour is
 // observable too (`vc_obs::mem::stats` works out of the box in a debugger).

@@ -54,8 +54,10 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
                     neighbors: &table_nb,
                 };
                 let next = match (&previous, maintained_mode) {
-                    (Some(prev), true) => maintain_clusters(prev, &world, &cfg, 0.5),
-                    _ => form_clusters(&world, &cfg),
+                    (Some(prev), true) => {
+                        maintain_clusters(prev, &world, &cfg, 0.5, SimTime::ZERO, None)
+                    }
+                    _ => form_clusters(&world, &cfg, SimTime::ZERO, None),
                 };
                 if let Some(prev) = &previous {
                     churn_sum += head_churn(prev, &next, vehicles);

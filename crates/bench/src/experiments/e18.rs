@@ -8,7 +8,7 @@
 //! routing workload and reports the deep heap footprint of each layer —
 //! fleet + road network, network simulation state, and the observability
 //! recorder — normalised to bytes per vehicle. Footprints come from
-//! [`MemSize`]/`heap_bytes` (lengths and capacities only, never allocator
+//! [`MemSize`] and `NetSim::heap_bytes` (lengths and capacities only, never allocator
 //! state), so every number is deterministic and shard-count-invariant;
 //! that invariance is asserted in-experiment by re-running each row at a
 //! second shard count and comparing bitwise.
@@ -83,7 +83,7 @@ fn footprint(base: &Scenario, shards: usize, rounds: usize) -> (u64, u64, u64) {
     let mut rec = Recorder::ring(4096);
     sim.send_random_pairs_obs(packets, 128, Some(&mut rec));
     sim.run_rounds_obs(rounds, Some(&mut rec));
-    let fleet = sim.scenario_mut().fleet.heap_bytes() + sim.scenario_mut().roadnet.heap_bytes();
+    let fleet = sim.scenario_mut().fleet.mem_bytes() + sim.scenario_mut().roadnet.mem_bytes();
     let net = sim.heap_bytes();
     // Normalise the hub before measuring the recorder: the in-run footprint
     // gauges exist only when `VC_MEM` enables them, so set the same three

@@ -45,7 +45,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut vc_obs::Recorder>) -> Ta
         };
         let mut sim = CloudSim::new(scenario, kind, SchedulerConfig::default(), Kinematic);
         sim.submit_batch(tasks, work, None);
-        sim.run_ticks_obs(ticks, vc_obs::reborrow(&mut rec));
+        sim.run_ticks(ticks, vc_obs::reborrow(&mut rec));
         let stats = sim.scheduler().stats();
         table.row(vec![
             kind.to_string(),

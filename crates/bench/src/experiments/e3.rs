@@ -7,15 +7,15 @@
 //! workspace's observability showcase: it emits `sim` (world ticks, radio),
 //! `net` (post-disaster re-clustering), `auth` (emergency re-join
 //! handshake spans, pseudonym switches), and `cloud` (scheduler lifecycle,
-//! membership, mode gossip) events. Every probed call delegates to its
-//! unprobed implementation, so the table is identical with or without
+//! membership, mode gossip) events. Every traced call does the same work
+//! with or without a recorder, so the table is identical with or without
 //! tracing.
 
 use crate::table::{f1, pct, Table};
 use vc_auth::prelude::*;
 use vc_cloud::prelude::*;
 use vc_net::world::WorldView;
-use vc_obs::{as_probe, reborrow, Recorder};
+use vc_obs::{reborrow, Recorder};
 use vc_sim::prelude::*;
 
 /// Runs E3.
@@ -48,7 +48,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             let mut sim = CloudSim::new(scenario, kind, SchedulerConfig::default(), Kinematic);
             sim.submit_batch(tasks / 2, 80.0, None);
             drop(setup);
-            sim.run_ticks_obs(pre_ticks, reborrow(&mut rec));
+            sim.run_ticks(pre_ticks, reborrow(&mut rec));
             let pre = sim.scheduler().stats().completed;
 
             // Disaster strikes.
@@ -65,7 +65,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             }
 
             sim.submit_batch(tasks / 2, 80.0, None);
-            sim.run_ticks_obs(post_ticks, reborrow(&mut rec));
+            sim.run_ticks(post_ticks, reborrow(&mut rec));
             let total = sim.scheduler().stats().completed;
             let post = total - pre;
             let members_post = sim.membership().members.len();
@@ -95,11 +95,11 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
         let at = SimTime::ZERO + SimDuration::from_secs_f64(rounds as f64 * scenario.dt);
         {
             let _sim = vc_obs::profile::frame("sim.tick");
-            scenario.tick_probed(at, as_probe(&mut rec));
+            scenario.tick(at, reborrow(&mut rec));
         }
         let table_nb = scenario.neighbor_table();
         let positions = scenario.fleet.positions();
-        mode.gossip_round_obs(
+        mode.gossip_round(
             &table_nb,
             positions,
             &channel,
@@ -129,7 +129,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
         online: scenario.fleet.online_flags(),
         neighbors: &neighbors,
     };
-    let clustering = vc_net::cluster::form_clusters_obs(
+    let clustering = vc_net::cluster::form_clusters(
         &world,
         &vc_net::cluster::ClusterConfig::multi_hop(),
         gossip_end,
@@ -176,7 +176,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
     let broker = joiners.remove(0);
     for (i, joiner) in joiners.iter_mut().enumerate() {
         let start = gossip_end + SimDuration::from_millis(100 * i as u64);
-        if run_handshake_obs(
+        if run_handshake(
             joiner,
             &broker,
             &params,
@@ -189,7 +189,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             admitted += 1;
             // Fresh pseudonym on admission: the pre-disaster identifier is
             // assumed burned.
-            joiner.rotate_obs(start + SimDuration::from_millis(10), reborrow(&mut rec));
+            joiner.rotate(start + SimDuration::from_millis(10), reborrow(&mut rec));
         }
     }
     table.note(format!(

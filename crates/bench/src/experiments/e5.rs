@@ -92,16 +92,15 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         emergency_ms.push(frame.finish().as_secs_f64() * 1e3);
     }
 
-    let mut push = |name: &str, xs: &mut Vec<f64>, unit: &str| {
-        let mut s = Summary::new();
-        for &x in xs.iter() {
-            s.record(x);
-        }
-        table.row(vec![name.to_owned(), f3(s.p50()), f3(s.p95()), f3(s.p99()), unit.to_owned()]);
+    let mut push = |name: &str, xs: &[f64], unit: &str| {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let p = |q| f3(nearest_rank(&sorted, q));
+        table.row(vec![name.to_owned(), p(0.50), p(0.95), p(0.99), unit.to_owned()]);
     };
-    push("admission (auth + token)", &mut admit_ms, "ms compute");
-    push("authorization (proof + policy + unseal)", &mut authorize_ms, "ms compute");
-    push("emergency escalation grant", &mut emergency_ms, "ms compute");
+    push("admission (auth + token)", &admit_ms, "ms compute");
+    push("authorization (proof + policy + unseal)", &authorize_ms, "ms compute");
+    push("emergency escalation grant", &emergency_ms, "ms compute");
 
     // --- contact-window analysis ---
     // Two vehicles closing at relative speed v share ~2*range/v seconds of
@@ -111,16 +110,13 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     let channel = Channel::dsrc();
     let mut rng = SimRng::seed_from(seed);
     let compute_s = {
-        let mut s = Summary::new();
-        for &x in admit_ms.iter().chain(authorize_ms.iter()) {
-            s.record(x);
-        }
-        s.mean() / 1e3 * 2.0
+        let sum: f64 = admit_ms.iter().chain(authorize_ms.iter()).sum();
+        sum / (admit_ms.len() + authorize_ms.len()) as f64 / 1e3 * 2.0
     };
     let mut window_table_rows = Vec::new();
     // High-volume radio samples go into a fixed-size log-scale histogram
-    // (64 buckets) instead of a `Summary`, which would keep every one of
-    // the ~30k samples in memory just to read two percentiles.
+    // (64 buckets) instead of a sorted sample vector, which would keep every
+    // one of the ~30k samples in memory just to read two percentiles.
     let mut radio_us = vc_obs::Histogram::new();
     for closing_speed in [10.0, 20.0, 30.0, 40.0, 60.0] {
         let window_s = 2.0 * channel.range_m / closing_speed;
@@ -157,4 +153,30 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     }
     table.note("expected shape: all compute latencies are milliseconds (emergency grants included); contact-window success stays ~100% up to highway closing speeds because radio latency, not crypto, dominates");
     table
+}
+
+/// Exact nearest-rank percentile of ascending `sorted` (`q` in `[0, 1]`),
+/// or 0 when empty.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn percentiles_nearest_rank() {
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&sorted, 0.50), 50.0);
+        assert_eq!(nearest_rank(&sorted, 0.95), 95.0);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99.0);
+        assert_eq!(nearest_rank(&sorted, 0.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
+    }
 }

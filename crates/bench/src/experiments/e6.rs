@@ -21,7 +21,7 @@ fn run_config<E: StayEstimator>(
     let config = SchedulerConfig { handover, ..Default::default() };
     let mut sim = CloudSim::new(scenario, ArchitectureKind::Dynamic, config, estimator);
     sim.submit_batch(tasks, 3000.0, None);
-    sim.run_ticks(ticks);
+    sim.run_ticks(ticks, None);
     (sim.scheduler().stats().clone(), sim.scheduler().stats().completed)
 }
 

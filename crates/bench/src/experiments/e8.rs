@@ -124,7 +124,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut vc_obs::Recorder>) -> Ta
                     online: scenario.fleet.online_flags(),
                     neighbors: &nbr,
                 };
-                let clustering = vc_net::cluster::form_clusters(&world, &cfg);
+                let clustering = vc_net::cluster::form_clusters(&world, &cfg, SimTime::ZERO, None);
                 if let Some(p) = &prev {
                     total += vc_net::cluster::head_churn(p, &clustering, ablation_n);
                 }

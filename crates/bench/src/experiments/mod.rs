@@ -38,7 +38,7 @@ pub struct Experiment {
     pub flags: &'static str,
     /// Runner: `(quick, seed, recorder) -> table`. Passing `None` for the
     /// recorder must yield the exact same table as passing `Some` — the
-    /// observability hooks delegate to the unprobed code paths.
+    /// observability hooks do the same work with or without a recorder.
     pub run: fn(bool, u64, Option<&mut Recorder>) -> Table,
 }
 

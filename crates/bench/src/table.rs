@@ -1,7 +1,7 @@
 //! Experiment output tables: aligned text for the terminal, JSON for
 //! EXPERIMENTS.md artifacts.
 
-use vc_testkit::json::Json;
+use vc_obs::json::Json;
 
 /// One experiment's result table.
 #[derive(Debug, Clone)]

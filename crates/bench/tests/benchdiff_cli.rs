@@ -101,11 +101,11 @@ fn merge_combines_per_suite_files_into_one_gateable_baseline() {
     assert!(ok);
 
     let text = std::fs::read_to_string(&merged).expect("merged file written");
-    let doc = vc_testkit::json::Json::parse(&text).expect("merged file parses");
+    let doc = vc_obs::json::Json::parse(&text).expect("merged file parses");
     assert_eq!(doc["id"].as_str(), Some("BENCH_all"));
     assert_eq!(doc["mode"].as_str(), Some("full"));
     let suites = match doc.get("suites") {
-        Some(vc_testkit::json::Json::Arr(items)) => items,
+        Some(vc_obs::json::Json::Arr(items)) => items,
         other => panic!("suites must be an array, got {other:?}"),
     };
     let names: Vec<&str> = suites.iter().filter_map(|s| s["suite"].as_str()).collect();

@@ -1,10 +1,10 @@
 //! End-to-end checks for `experiments --profile`: profiling is strictly
 //! additive (tables and traces are byte-identical with or without it,
-//! mirroring the plain-vs-probed invariant for the recorder) and the
+//! mirroring the untraced-vs-traced invariant for the recorder) and the
 //! exported call tree is internally consistent.
 
 use std::process::Command;
-use vc_testkit::json::Json;
+use vc_obs::json::Json;
 
 struct ProfiledRun {
     stdout: Vec<u8>,

@@ -31,7 +31,7 @@ fn trace_runs_are_byte_identical_and_multi_component() {
     }
     // Every line round-trips through the workspace JSON parser.
     for line in text.lines() {
-        vc_testkit::json::Json::parse(line).expect("valid JSONL line");
+        vc_obs::json::Json::parse(line).expect("valid JSONL line");
     }
 
     let stat = Command::new(env!("CARGO_BIN_EXE_vcstat"))
@@ -142,7 +142,7 @@ fn causal_timeline_and_json_modes_roundtrip() {
         .output()
         .expect("vcstat runs");
     assert!(json.status.success());
-    let doc = vc_testkit::json::Json::parse(&String::from_utf8_lossy(&json.stdout))
+    let doc = vc_obs::json::Json::parse(&String::from_utf8_lossy(&json.stdout))
         .expect("valid JSON output");
     assert!(doc["summary"]["events"].as_f64().unwrap_or(0.0) > 0.0);
     assert!(doc["causal"]["traces"].as_f64().unwrap_or(0.0) > 0.0);
@@ -165,7 +165,7 @@ fn causal_timeline_and_json_modes_roundtrip() {
         .output()
         .expect("vcstat runs");
     assert!(timeline_json.status.success());
-    let doc = vc_testkit::json::Json::parse(&String::from_utf8_lossy(&timeline_json.stdout))
+    let doc = vc_obs::json::Json::parse(&String::from_utf8_lossy(&timeline_json.stdout))
         .expect("valid JSON output");
     assert!(doc["timeline"]["ticks"].as_f64().unwrap_or(0.0) > 0.0);
     std::fs::remove_dir_all(&dir).ok();
@@ -200,10 +200,10 @@ fn vcstat_flags_truncated_ring_traces_loudly() {
         .output()
         .expect("vcstat runs");
     assert!(json.status.success());
-    let doc = vc_testkit::json::Json::parse(&String::from_utf8_lossy(&json.stdout))
+    let doc = vc_obs::json::Json::parse(&String::from_utf8_lossy(&json.stdout))
         .expect("valid JSON output");
     assert_eq!(doc["summary"]["ring"]["dropped"].as_f64(), Some(5.0));
-    assert_eq!(doc["summary"]["ring"]["truncated"], vc_testkit::json::Json::Bool(true));
+    assert_eq!(doc["summary"]["ring"]["truncated"], vc_obs::json::Json::Bool(true));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -95,7 +95,8 @@ pub fn membership(kind: ArchitectureKind, scenario: &Scenario) -> Membership {
                 online: scenario.fleet.online_flags(),
                 neighbors: &neighbors,
             };
-            let clustering = form_clusters(&world, &ClusterConfig::multi_hop());
+            let clustering =
+                form_clusters(&world, &ClusterConfig::multi_hop(), SimTime::ZERO, None);
             // The cloud is the largest cluster; its head is the broker.
             let best = clustering
                 .heads()
@@ -215,22 +216,16 @@ impl<E: StayEstimator> CloudSim<E> {
     }
 
     /// Advances the world and the scheduler one step.
-    pub fn tick(&mut self) {
-        self.tick_obs(None);
-    }
-
-    /// Advances like [`CloudSim::tick`], routing world ticks through the
-    /// recorder's probe and emitting a `cloud`/`membership` event with the
-    /// member count and broker presence. All probed sub-paths delegate to
-    /// their unprobed implementations, so the run is identical to [`tick`]
-    /// with the same seed.
     ///
-    /// [`tick`]: CloudSim::tick
-    pub fn tick_obs(&mut self, mut rec: Option<&mut vc_obs::Recorder>) {
+    /// With a recorder, the world tick emits `sim`/`tick`, a `cloud`/
+    /// `membership` event carries the member count and broker presence, and
+    /// the scheduler emits its lifecycle events. The run is the same with
+    /// or without one.
+    pub fn tick(&mut self, mut rec: Option<&mut vc_obs::Recorder>) {
         let _tick = vc_obs::profile::frame("cloud.tick");
         {
             let _sim = vc_obs::profile::frame("sim.tick");
-            self.scenario.tick_probed(self.now, vc_obs::as_probe(&mut rec));
+            self.scenario.tick(self.now, vc_obs::reborrow(&mut rec));
         }
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
         let membership = membership(self.kind, &self.scenario);
@@ -247,20 +242,13 @@ impl<E: StayEstimator> CloudSim<E> {
             );
             r.hub_mut().gauge_set("cloud.membership.size", membership.members.len() as f64);
         }
-        self.scheduler.tick_obs(self.now, self.scenario.dt, &hosts, rec);
+        self.scheduler.tick(self.now, self.scenario.dt, &hosts, rec);
     }
 
-    /// Runs `n` ticks.
-    pub fn run_ticks(&mut self, n: usize) {
+    /// Runs `n` ticks (see [`CloudSim::tick`]).
+    pub fn run_ticks(&mut self, n: usize, mut rec: Option<&mut vc_obs::Recorder>) {
         for _ in 0..n {
-            self.tick();
-        }
-    }
-
-    /// Runs `n` instrumented ticks (see [`CloudSim::tick_obs`]).
-    pub fn run_ticks_obs(&mut self, n: usize, mut rec: Option<&mut vc_obs::Recorder>) {
-        for _ in 0..n {
-            self.tick_obs(vc_obs::reborrow(&mut rec));
+            self.tick(vc_obs::reborrow(&mut rec));
         }
     }
 
@@ -327,7 +315,7 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(10, 50.0, None);
-        sim.run_ticks(100);
+        sim.run_ticks(100, None);
         assert_eq!(sim.scheduler().stats().completed, 10);
     }
 
@@ -341,7 +329,7 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(10, 30.0, None);
-        sim.run_ticks(300);
+        sim.run_ticks(300, None);
         let stats = sim.scheduler().stats();
         assert!(stats.completed >= 5, "only {} completed", stats.completed);
     }
@@ -356,12 +344,12 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(50, 2000.0, None);
-        sim.run_ticks(20);
+        sim.run_ticks(20, None);
         let mid = sim.scheduler().stats().completed;
         // Disaster: all RSUs fail.
         let mut rng = vc_sim::rng::SimRng::seed_from(7);
         sim.scenario.rsus.fail_fraction(1.0, &mut rng);
-        sim.run_ticks(50);
+        sim.run_ticks(50, None);
         // No further capacity is offered once coverage is gone: live tasks stall.
         let m = sim.membership();
         assert!(m.members.is_empty());
@@ -380,7 +368,7 @@ mod tests {
                 Kinematic,
             );
             sim.submit_batch(8, 40.0, None);
-            sim.run_ticks(150);
+            sim.run_ticks(150, None);
             sim.scheduler().stats().completed
         };
         assert_eq!(run(11), run(11));
@@ -400,15 +388,18 @@ mod tests {
             sim
         };
         let mut plain = mk();
-        plain.run_ticks(120);
-        let mut probed = mk();
+        plain.run_ticks(120, None);
+        let mut traced = mk();
         let mut rec = vc_obs::Recorder::new();
-        probed.run_ticks_obs(120, Some(&mut rec));
+        traced.run_ticks(120, Some(&mut rec));
         assert_eq!(
-            probed.scheduler().stats().completed,
-            plain.scheduler().stats().completed,
+            format!("{:?}", traced.scheduler().stats()),
+            format!("{:?}", plain.scheduler().stats()),
             "tracing must not perturb the run"
         );
+        assert_eq!(traced.now(), plain.now());
+        assert_eq!(traced.scenario.fleet.positions(), plain.scenario.fleet.positions());
+        assert_eq!(traced.scenario.rng.next_u64(), plain.scenario.rng.next_u64());
         assert_eq!(rec.hub().counter("cloud.membership"), 120);
         assert_eq!(rec.hub().counter("sim.tick"), 120);
         assert!(rec.hub().counter("cloud.sched.place") > 0);

@@ -9,6 +9,7 @@
 use vc_sim::node::VehicleId;
 use vc_sim::radio::{Channel, NeighborTable};
 use vc_sim::rng::SimRng;
+use vc_sim::time::SimTime;
 
 /// Cloud operating modes (paper §V-A names normal, emergency, large-scale
 /// event, and disaster behaviours).
@@ -60,56 +61,46 @@ impl ModeManager {
     ///
     /// Mode precedence: a higher-severity mode overrides a lower one
     /// (`Disaster > MajorEvent > Emergency > Normal` by enum order).
+    ///
+    /// With a recorder, also emits a `cloud`/`mode.switch` event at `at`
+    /// carrying how many vehicles switched and the resulting coverage of
+    /// `mode`, a `cloud.mode.switched` counter and a `cloud.mode.coverage`
+    /// gauge. The RNG stream (and hence the propagation) is the same with
+    /// or without one.
+    #[allow(clippy::too_many_arguments)]
     pub fn gossip_round(
         &mut self,
         neighbors: &NeighborTable,
         positions: &[vc_sim::geom::Point],
         channel: &Channel,
         rng: &mut SimRng,
+        mode: OperatingMode,
+        at: SimTime,
+        rec: Option<&mut vc_obs::Recorder>,
     ) -> usize {
+        let _round = vc_obs::profile::frame("mode.gossip");
         let snapshot = self.modes.clone();
         let mut switched = 0;
-        for (i, &mode) in snapshot.iter().enumerate() {
-            if mode == OperatingMode::Normal {
+        for (i, &sender) in snapshot.iter().enumerate() {
+            if sender == OperatingMode::Normal {
                 continue;
             }
             let src = VehicleId(i as u32);
             for &dst in neighbors.of(src) {
                 let j = dst.0 as usize;
-                if snapshot[j] >= mode {
+                if snapshot[j] >= sender {
                     continue;
                 }
                 let dist = positions[i].distance(positions[j]);
                 // A short mode-switch beacon (64 bytes).
-                if channel.try_deliver(dist, neighbors.degree(src), 64, rng).is_some()
-                    && self.modes[j] < mode
+                if channel.try_deliver(at, dist, neighbors.degree(src), 64, rng, None).is_some()
+                    && self.modes[j] < sender
                 {
-                    self.modes[j] = mode;
+                    self.modes[j] = sender;
                     switched += 1;
                 }
             }
         }
-        switched
-    }
-
-    /// One gossip round like [`ModeManager::gossip_round`], plus a
-    /// `cloud`/`mode.switch` event carrying how many vehicles switched and
-    /// the resulting coverage of `mode`, and a `cloud.mode.switched`
-    /// counter. Delegates to the plain round, so the RNG stream (and hence
-    /// the propagation) is identical with or without a recorder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gossip_round_obs(
-        &mut self,
-        neighbors: &NeighborTable,
-        positions: &[vc_sim::geom::Point],
-        channel: &Channel,
-        rng: &mut SimRng,
-        mode: OperatingMode,
-        at: vc_sim::time::SimTime,
-        rec: Option<&mut vc_obs::Recorder>,
-    ) -> usize {
-        let _round = vc_obs::profile::frame("mode.gossip");
-        let switched = self.gossip_round(neighbors, positions, channel, rng);
         if let Some(r) = rec {
             r.event(
                 at,
@@ -139,6 +130,17 @@ mod tests {
     use super::*;
     use vc_sim::geom::Point;
 
+    /// One untraced gossip round over a DSRC channel.
+    fn round(
+        mgr: &mut ModeManager,
+        table: &NeighborTable,
+        pos: &[Point],
+        rng: &mut SimRng,
+    ) -> usize {
+        let (channel, mode) = (Channel::dsrc(), OperatingMode::Emergency);
+        mgr.gossip_round(table, pos, &channel, rng, mode, SimTime::ZERO, None)
+    }
+
     fn line_world(n: usize, spacing: f64) -> (Vec<Point>, NeighborTable) {
         let positions: Vec<Point> = (0..n).map(|i| Point::new(i as f64 * spacing, 0.0)).collect();
         let online = vec![true; n];
@@ -161,10 +163,9 @@ mod tests {
         let mut mgr = ModeManager::new(10);
         mgr.inject(VehicleId(0), OperatingMode::Emergency);
         let mut rng = SimRng::seed_from(1);
-        let channel = Channel::dsrc();
         let mut rounds = 0;
         while mgr.coverage(OperatingMode::Emergency) < 1.0 && rounds < 100 {
-            mgr.gossip_round(&table, &positions, &channel, &mut rng);
+            round(&mut mgr, &table, &positions, &mut rng);
             rounds += 1;
         }
         assert_eq!(mgr.coverage(OperatingMode::Emergency), 1.0);
@@ -179,9 +180,8 @@ mod tests {
         mgr.inject(VehicleId(0), OperatingMode::Disaster);
         mgr.inject(VehicleId(2), OperatingMode::Emergency);
         let mut rng = SimRng::seed_from(2);
-        let channel = Channel::dsrc();
         for _ in 0..20 {
-            mgr.gossip_round(&table, &positions, &channel, &mut rng);
+            round(&mut mgr, &table, &positions, &mut rng);
         }
         // Disaster wins everywhere.
         for i in 0..3 {
@@ -196,43 +196,35 @@ mod tests {
         let mut mgr = ModeManager::new(2);
         mgr.inject(VehicleId(0), OperatingMode::Emergency);
         let mut rng = SimRng::seed_from(3);
-        let channel = Channel::dsrc();
         for _ in 0..10 {
-            mgr.gossip_round(&table, &positions, &channel, &mut rng);
+            round(&mut mgr, &table, &positions, &mut rng);
         }
         assert_eq!(mgr.mode(VehicleId(1)), OperatingMode::Normal);
     }
 
     #[test]
-    fn observed_gossip_matches_plain_stream() {
+    fn recorded_gossip_matches_plain_stream() {
         let (positions, table) = line_world(10, 100.0);
         let channel = Channel::dsrc();
-        let run = |rec: &mut Option<vc_obs::Recorder>| {
+        let run = |mut rec: Option<&mut vc_obs::Recorder>| {
             let mut mgr = ModeManager::new(10);
             mgr.inject(VehicleId(0), OperatingMode::Emergency);
             let mut rng = SimRng::seed_from(1);
-            let mut rounds = 0u64;
-            while mgr.coverage(OperatingMode::Emergency) < 1.0 && rounds < 100 {
-                let at = vc_sim::time::SimTime::from_secs(rounds);
-                mgr.gossip_round_obs(
-                    &table,
-                    &positions,
-                    &channel,
-                    &mut rng,
-                    OperatingMode::Emergency,
-                    at,
-                    rec.as_mut(),
-                );
-                rounds += 1;
+            let mut switched = Vec::new();
+            while mgr.coverage(OperatingMode::Emergency) < 1.0 && switched.len() < 100 {
+                let at = SimTime::from_secs(switched.len() as u64);
+                let rec = vc_obs::reborrow(&mut rec);
+                let mode = OperatingMode::Emergency;
+                switched
+                    .push(mgr.gossip_round(&table, &positions, &channel, &mut rng, mode, at, rec));
             }
-            rounds
+            (switched, mgr.modes, rng.next_u64())
         };
-        let plain = run(&mut None);
-        let mut rec = Some(vc_obs::Recorder::new());
-        let probed = run(&mut rec);
-        assert_eq!(plain, probed, "recorder must not change propagation");
-        let rec = rec.unwrap();
-        assert_eq!(rec.hub().counter("cloud.mode.switch"), probed);
+        let mut rec = vc_obs::Recorder::new();
+        let plain = run(None);
+        let traced = run(Some(&mut rec));
+        assert_eq!(plain, traced, "recorder must not change propagation");
+        assert_eq!(rec.hub().counter("cloud.mode.switch"), traced.0.len() as u64);
         assert_eq!(rec.hub().counter("cloud.mode.switched"), 9);
         assert_eq!(rec.hub().gauge("cloud.mode.coverage"), Some(1.0));
     }
@@ -243,10 +235,9 @@ mod tests {
         let mut mgr = ModeManager::new(2);
         mgr.inject(VehicleId(0), OperatingMode::Emergency);
         let mut rng = SimRng::seed_from(4);
-        let channel = Channel::dsrc();
         let mut total = 0;
         for _ in 0..10 {
-            total += mgr.gossip_round(&table, &positions, &channel, &mut rng);
+            total += round(&mut mgr, &table, &positions, &mut rng);
         }
         assert_eq!(total, 1, "exactly one vehicle had to switch");
     }

@@ -28,7 +28,7 @@
 //!     Kinematic,
 //! );
 //! cloud.submit_batch(5, 50.0, None);
-//! cloud.run_ticks(100);
+//! cloud.run_ticks(100, None);
 //! assert_eq!(cloud.scheduler().stats().completed, 5);
 //! ```
 

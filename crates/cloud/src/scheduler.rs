@@ -156,26 +156,34 @@ impl Scheduler {
         self.tasks.values().filter(|t| t.is_live()).count()
     }
 
-    /// Advances like [`Scheduler::tick`] and emits `cloud` scheduler events
-    /// to the recorder: `sched.place` (new or moved assignments),
-    /// `sched.complete`, `sched.handover`, `sched.expire`, and
-    /// `sched.requeue` (progress lost to a drop), plus `cloud.sched.live`
-    /// and `cloud.sched.running` gauges. The scheduler is RNG-free, so the
-    /// probed path is behaviourally identical to the plain one.
-    pub fn tick_obs(
+    /// Advances the scheduler by `dt` seconds given this tick's host set.
+    /// Hosts absent from `hosts` are treated as departed.
+    ///
+    /// With a recorder, emits `cloud` scheduler events: `sched.place` (new
+    /// or moved assignments), `sched.complete`, `sched.handover`,
+    /// `sched.expire`, and `sched.requeue` (progress lost to a drop), plus
+    /// `cloud.sched.live` and `cloud.sched.running` gauges. The scheduler is
+    /// RNG-free, and the before-state it diffs against is copied only when
+    /// a recorder is attached.
+    pub fn tick(
         &mut self,
         now: SimTime,
         dt: f64,
         hosts: &[HostInfo],
         rec: Option<&mut vc_obs::Recorder>,
     ) {
-        let Some(rec) = rec else {
-            self.tick(now, dt, hosts);
+        let before = rec.is_some().then(|| (self.assignments.clone(), self.stats.clone()));
+        let host_map: BTreeMap<VehicleId, HostInfo> = hosts.iter().map(|h| (h.id, *h)).collect();
+        self.stats.offered_gflop += hosts.iter().map(|h| h.cpu_gflops).sum::<f64>() * dt;
+
+        self.handle_departures(&host_map);
+        self.progress_running(now, dt, &host_map);
+        self.expire_overdue(now);
+        self.place_queued(&host_map);
+
+        let (Some(rec), Some((assignments_before, before))) = (rec, before) else {
             return;
         };
-        let assignments_before = self.assignments.clone();
-        let before = self.stats.clone();
-        self.tick(now, dt, hosts);
         let placed = self
             .assignments
             .iter()
@@ -202,18 +210,6 @@ impl Scheduler {
         }
         rec.hub_mut().gauge_set("cloud.sched.live", self.live_tasks() as f64);
         rec.hub_mut().gauge_set("cloud.sched.running", self.assignments.len() as f64);
-    }
-
-    /// Advances the scheduler by `dt` seconds given this tick's host set.
-    /// Hosts absent from `hosts` are treated as departed.
-    pub fn tick(&mut self, now: SimTime, dt: f64, hosts: &[HostInfo]) {
-        let host_map: BTreeMap<VehicleId, HostInfo> = hosts.iter().map(|h| (h.id, *h)).collect();
-        self.stats.offered_gflop += hosts.iter().map(|h| h.cpu_gflops).sum::<f64>() * dt;
-
-        self.handle_departures(&host_map);
-        self.progress_running(now, dt, &host_map);
-        self.expire_overdue(now);
-        self.place_queued(&host_map);
     }
 
     fn handle_departures(&mut self, host_map: &BTreeMap<VehicleId, HostInfo>) {
@@ -394,7 +390,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..ticks {
             now += vc_sim::time::SimDuration::from_secs_f64(dt);
-            sched.tick(now, dt, hosts);
+            sched.tick(now, dt, hosts, None);
         }
         now
     }
@@ -440,7 +436,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 10.0), SimTime::ZERO);
         let hosts = [host(0, 100.0, 50.0), host(1, 100.0, 500.0)];
-        s.tick(SimTime::from_secs(1), 1.0, &hosts);
+        s.tick(SimTime::from_secs(1), 1.0, &hosts, None);
         match s.task(TaskId(1)).unwrap().status {
             TaskStatus::Running { host: h, .. } => assert_eq!(h, VehicleId(1)),
             ref other => panic!("expected running, got {other:?}"),
@@ -454,7 +450,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 10.0), SimTime::ZERO);
         let hosts = [host(0, 50.0, 1000.0), host(1, 200.0, 1000.0)];
-        s.tick(SimTime::from_secs(1), 1.0, &hosts);
+        s.tick(SimTime::from_secs(1), 1.0, &hosts, None);
         if let TaskStatus::Running { host: h, .. } = s.task(TaskId(1)).unwrap().status {
             assert_eq!(h, VehicleId(1));
         } else {
@@ -471,7 +467,7 @@ mod tests {
         // Run 5 s: ~40 GFLOP done (first tick places, 4 ticks execute).
         run(&mut s, &both, 5, 1.0);
         // Host 0 departs; nothing remains.
-        s.tick(SimTime::from_secs(6), 1.0, &[]);
+        s.tick(SimTime::from_secs(6), 1.0, &[], None);
         let rec = s.task(TaskId(1)).unwrap();
         assert_eq!(rec.status, TaskStatus::Queued);
         assert!(rec.recomputed_gflop > 0.0, "progress was lost");
@@ -488,7 +484,7 @@ mod tests {
         run(&mut s, &before, 5, 1.0);
         // Host 0 departs, host 1 remains free → checkpoint moves.
         let after = [host(1, 10.0, 1000.0)];
-        s.tick(SimTime::from_secs(6), 1.0, &after);
+        s.tick(SimTime::from_secs(6), 1.0, &after, None);
         let rec = s.task(TaskId(1)).unwrap();
         if let TaskStatus::Running { host: h, done_gflop } = rec.status {
             assert_eq!(h, VehicleId(1));
@@ -506,7 +502,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 100.0), SimTime::ZERO);
         run(&mut s, &[host(0, 10.0, 1000.0)], 5, 1.0);
-        s.tick(SimTime::from_secs(6), 1.0, &[]);
+        s.tick(SimTime::from_secs(6), 1.0, &[], None);
         let rec = s.task(TaskId(1)).unwrap();
         assert_eq!(rec.status, TaskStatus::Queued);
         assert!(rec.recomputed_gflop > 0.0);
@@ -526,7 +522,7 @@ mod tests {
         let mut now = SimTime::from_secs(10);
         for _ in 0..5 {
             now += vc_sim::time::SimDuration::from_secs(1);
-            s.tick(now, 1.0, &[host(0, 10.0, 10_000.0)]);
+            s.tick(now, 1.0, &[host(0, 10.0, 10_000.0)], None);
         }
         assert_eq!(s.stats().completed, 1);
     }
@@ -548,41 +544,32 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::default());
         s.submit(spec(1, 1000.0), SimTime::ZERO);
         s.submit(spec(2, 1000.0), SimTime::ZERO);
-        s.tick(SimTime::from_secs(1), 1.0, &[host(0, 10.0, 10_000.0)]);
+        s.tick(SimTime::from_secs(1), 1.0, &[host(0, 10.0, 10_000.0)], None);
         let running = s.tasks().filter(|t| matches!(t.status, TaskStatus::Running { .. })).count();
         assert_eq!(running, 1, "a host runs one task at a time");
     }
 
     #[test]
-    fn tick_obs_matches_plain_and_emits_lifecycle_events() {
-        let mk = || {
+    fn recorder_changes_no_scheduling_and_emits_lifecycle_events() {
+        let run = |rec: Option<&mut vc_obs::Recorder>| {
             let mut s = Scheduler::new(SchedulerConfig::default());
             s.submit(spec(1, 50.0), SimTime::ZERO);
-            s
+            let mut rec = rec;
+            let mut now = SimTime::ZERO;
+            for _ in 0..10 {
+                now += vc_sim::time::SimDuration::from_secs(1);
+                s.tick(now, 1.0, &[host(0, 10.0, 1000.0)], vc_obs::reborrow(&mut rec));
+            }
+            let tasks: Vec<_> = s.tasks().map(|t| format!("{t:?}")).collect();
+            (format!("{:?}", s.stats()), tasks, s.assignments.clone())
         };
-        let hosts = [host(0, 10.0, 1000.0)];
-        let mut plain = mk();
-        run(&mut plain, &hosts, 10, 1.0);
-
-        let mut probed = mk();
         let mut rec = vc_obs::Recorder::new();
-        let mut now = SimTime::ZERO;
-        for _ in 0..10 {
-            now += vc_sim::time::SimDuration::from_secs(1);
-            probed.tick_obs(now, 1.0, &hosts, Some(&mut rec));
-        }
-        assert_eq!(probed.stats().completed, plain.stats().completed);
+        let plain = run(None);
+        let traced = run(Some(&mut rec));
+        assert_eq!(plain, traced);
         assert_eq!(rec.hub().counter("cloud.sched.place"), 1);
         assert_eq!(rec.hub().counter("cloud.sched.complete"), 1);
         assert_eq!(rec.hub().gauge("cloud.sched.live"), Some(0.0));
-        // `None` recorder delegates straight to `tick`.
-        let mut silent = mk();
-        let mut now = SimTime::ZERO;
-        for _ in 0..10 {
-            now += vc_sim::time::SimDuration::from_secs(1);
-            silent.tick_obs(now, 1.0, &hosts, None);
-        }
-        assert_eq!(silent.stats().completed, plain.stats().completed);
     }
 
     #[test]

@@ -44,7 +44,7 @@ prop! {
             // Random churn: each host present with 80% probability.
             let present: Vec<HostInfo> =
                 hosts.iter().filter(|_| rng.chance(0.8)).copied().collect();
-            sched.tick(now, 1.0, &present);
+            sched.tick(now, 1.0, &present, None);
         }
         let mut queued = 0u64;
         let mut running = 0u64;
@@ -86,7 +86,7 @@ prop! {
         let mut now = SimTime::ZERO;
         for _ in 0..ticks {
             now += SimDuration::from_secs(1);
-            sched.tick(now, 1.0, &hosts);
+            sched.tick(now, 1.0, &hosts, None);
             let mut seen = std::collections::BTreeSet::new();
             for t in sched.tasks() {
                 if let TaskStatus::Running { host, .. } = t.status {

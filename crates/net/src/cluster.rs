@@ -144,7 +144,16 @@ fn eligible_neighbors(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig)
 /// pass (the formation hot loop) fans out over shard workers; scores are a
 /// pure function of the snapshot, and shard results concatenate in
 /// canonical index order, so the shard count never changes the outcome.
-pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
+///
+/// With a recorder, emits one `net`/`cluster.elect` event at sim-time `at`
+/// carrying the cluster count and mean size. The clustering is the same
+/// with or without one.
+pub fn form_clusters(
+    world: &WorldView<'_>,
+    cfg: &ClusterConfig,
+    at: SimTime,
+    rec: Option<&mut Recorder>,
+) -> Clustering {
     let _form = vc_obs::profile::frame("cluster.form");
     let n = world.len();
     let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
@@ -194,19 +203,7 @@ pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
         claimed.sort();
         members.insert(candidate, claimed);
     }
-    Clustering { head_of, members }
-}
-
-/// [`form_clusters`] with instrumentation: emits one `net`/`cluster.elect`
-/// event at sim-time `at` carrying the cluster count, mean size, and how
-/// many heads were elected. The clustering itself is identical.
-pub fn form_clusters_obs(
-    world: &WorldView<'_>,
-    cfg: &ClusterConfig,
-    at: SimTime,
-    rec: Option<&mut Recorder>,
-) -> Clustering {
-    let clustering = form_clusters(world, cfg);
+    let clustering = Clustering { head_of, members };
     if let Some(rec) = rec {
         rec.event(
             at,
@@ -232,11 +229,17 @@ pub fn form_clusters_obs(
 /// fresh election among themselves. Heads therefore change when clusters
 /// genuinely split or merge, not on score jitter — the continuity the cloud
 /// layer's brokers need.
+///
+/// With a recorder, emits one `net`/`cluster.maintain` event at sim-time
+/// `at` carrying the resulting cluster count and the head-churn fraction
+/// versus `previous`. The maintenance is the same with or without one.
 pub fn maintain_clusters(
     previous: &Clustering,
     world: &WorldView<'_>,
     cfg: &ClusterConfig,
     retention_quorum: f64,
+    at: SimTime,
+    rec: Option<&mut Recorder>,
 ) -> Clustering {
     let n = world.len();
     let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
@@ -325,22 +328,7 @@ pub fn maintain_clusters(
         m.sort();
         m.dedup();
     }
-    Clustering { head_of, members }
-}
-
-/// [`maintain_clusters`] with instrumentation: emits one
-/// `net`/`cluster.maintain` event at sim-time `at` carrying the resulting
-/// cluster count and the head-churn fraction versus `previous`. The
-/// maintenance itself is identical.
-pub fn maintain_clusters_obs(
-    previous: &Clustering,
-    world: &WorldView<'_>,
-    cfg: &ClusterConfig,
-    retention_quorum: f64,
-    at: SimTime,
-    rec: Option<&mut Recorder>,
-) -> Clustering {
-    let next = maintain_clusters(previous, world, cfg, retention_quorum);
+    let next = Clustering { head_of, members };
     if let Some(rec) = rec {
         let churn = head_churn(previous, &next, world.len());
         rec.event(
@@ -431,7 +419,7 @@ mod tests {
         // 5 vehicles all in range of each other, same velocity.
         let positions = (0..5).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
         let f = Fixture::new(positions, still(5), 300.0);
-        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         assert_eq!(c.cluster_count(), 1);
         let head = c.heads().next().unwrap();
         assert_eq!(c.members(head).len(), 5);
@@ -445,7 +433,7 @@ mod tests {
     fn far_apart_vehicles_are_singleton_clusters() {
         let positions = (0..3).map(|i| Point::new(i as f64 * 10_000.0, 0.0)).collect();
         let f = Fixture::new(positions, still(3), 300.0);
-        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         assert_eq!(c.cluster_count(), 3);
         assert!((c.mean_cluster_size() - 1.0).abs() < 1e-12);
         assert!(!c.same_cluster(VehicleId(0), VehicleId(1)));
@@ -458,7 +446,7 @@ mod tests {
         let f = Fixture::new(positions, still(5), 150.0);
         let mut cfg = ClusterConfig::multi_hop();
         cfg.max_hops = 1;
-        let c = form_clusters(&f.world(), &cfg);
+        let c = form_clusters(&f.world(), &cfg, SimTime::ZERO, None);
         // With 1 hop, no cluster can span 5 chain nodes.
         assert!(c.cluster_count() >= 2, "got {} clusters", c.cluster_count());
         for head in c.heads() {
@@ -472,7 +460,7 @@ mod tests {
         let positions = vec![Point::new(0.0, 0.0), Point::new(50.0, 0.0), Point::new(100.0, 0.0)];
         let velocities = vec![Point::new(10.0, 0.0), Point::new(-30.0, 0.0), Point::new(10.0, 0.0)];
         let f = Fixture::new(positions, velocities, 300.0);
-        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         let head = c.heads().next().unwrap();
         assert_ne!(head, VehicleId(1), "the erratic vehicle must not be head");
     }
@@ -484,12 +472,12 @@ mod tests {
         let mut velocities = vec![Point::new(30.0, 0.0); 3];
         velocities.extend(vec![Point::new(-30.0, 0.0); 3]);
         let f = Fixture::new(positions, velocities, 300.0);
-        let zones = form_clusters(&f.world(), &ClusterConfig::moving_zone());
+        let zones = form_clusters(&f.world(), &ClusterConfig::moving_zone(), SimTime::ZERO, None);
         assert_eq!(zones.cluster_count(), 2, "opposing platoons must form separate zones");
         assert!(zones.same_cluster(VehicleId(0), VehicleId(2)));
         assert!(!zones.same_cluster(VehicleId(0), VehicleId(3)));
         // Plain clustering would merge them all:
-        let plain = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let plain = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         assert_eq!(plain.cluster_count(), 1);
     }
 
@@ -505,7 +493,7 @@ mod tests {
             online: &online,
             neighbors: &neighbors,
         };
-        let c = form_clusters(&world, &ClusterConfig::multi_hop());
+        let c = form_clusters(&world, &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         assert_eq!(c.head_of(VehicleId(1)), None);
         assert!(c.head_of(VehicleId(0)).is_some());
     }
@@ -515,8 +503,8 @@ mod tests {
         let positions: Vec<Point> =
             (0..10).map(|i| Point::new((i * 37 % 200) as f64, (i * 61 % 200) as f64)).collect();
         let f = Fixture::new(positions, still(10), 120.0);
-        let a = form_clusters(&f.world(), &ClusterConfig::multi_hop());
-        let b = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let a = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
+        let b = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         for i in 0..10 {
             assert_eq!(a.head_of(VehicleId(i)), b.head_of(VehicleId(i)));
         }
@@ -527,7 +515,7 @@ mod tests {
         let positions: Vec<Point> =
             (0..30).map(|i| Point::new((i * 53 % 500) as f64, (i * 71 % 500) as f64)).collect();
         let f = Fixture::new(positions, still(30), 150.0);
-        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         for i in 0..30 {
             let head = c.head_of(VehicleId(i)).expect("assigned");
             // Head consistency: the head's own head is itself.
@@ -541,10 +529,10 @@ mod tests {
         let positions: Vec<Point> = (0..5).map(|i| Point::new(i as f64 * 20.0, 0.0)).collect();
         let f = Fixture::new(positions, still(5), 300.0);
         let cfg = ClusterConfig::multi_hop();
-        let first = form_clusters(&f.world(), &cfg);
+        let first = form_clusters(&f.world(), &cfg, SimTime::ZERO, None);
         let head = first.heads().next().unwrap();
         // Nothing moved: maintenance keeps the same head for everyone.
-        let second = maintain_clusters(&first, &f.world(), &cfg, 0.5);
+        let second = maintain_clusters(&first, &f.world(), &cfg, 0.5, SimTime::ZERO, None);
         for i in 0..5 {
             assert_eq!(second.head_of(VehicleId(i)), Some(head));
         }
@@ -557,14 +545,14 @@ mod tests {
         let positions: Vec<Point> = (0..6).map(|i| Point::new(i as f64 * 20.0, 0.0)).collect();
         let f = Fixture::new(positions, still(6), 300.0);
         let cfg = ClusterConfig::multi_hop();
-        let first = form_clusters(&f.world(), &cfg);
+        let first = form_clusters(&f.world(), &cfg, SimTime::ZERO, None);
         assert_eq!(first.cluster_count(), 1);
         let mut far_positions = f.positions.clone();
         for p in far_positions.iter_mut().skip(3) {
             p.x += 10_000.0;
         }
         let f2 = Fixture::new(far_positions, still(6), 300.0);
-        let second = maintain_clusters(&first, &f2.world(), &cfg, 0.5);
+        let second = maintain_clusters(&first, &f2.world(), &cfg, 0.5, SimTime::ZERO, None);
         assert_eq!(second.cluster_count(), 2, "split produces a second cluster");
         // Everyone still has a valid head.
         for i in 0..6 {
@@ -578,7 +566,7 @@ mod tests {
         let positions: Vec<Point> = (0..4).map(|i| Point::new(i as f64 * 20.0, 0.0)).collect();
         let f = Fixture::new(positions.clone(), still(4), 300.0);
         let cfg = ClusterConfig::multi_hop();
-        let first = form_clusters(&f.world(), &cfg);
+        let first = form_clusters(&f.world(), &cfg, SimTime::ZERO, None);
         let head = first.heads().next().unwrap();
         let mut online = vec![true; 4];
         online[head.0 as usize] = false;
@@ -590,7 +578,7 @@ mod tests {
             online: &online,
             neighbors: &neighbors,
         };
-        let second = maintain_clusters(&first, &world, &cfg, 0.5);
+        let second = maintain_clusters(&first, &world, &cfg, 0.5, SimTime::ZERO, None);
         assert_eq!(second.head_of(head), None, "offline head unassigned");
         for i in 0..4u32 {
             if VehicleId(i) != head {
@@ -610,7 +598,7 @@ mod tests {
         let base: Vec<Point> = (0..8).map(|i| Point::new(i as f64 * 25.0, 0.0)).collect();
         let cfg = ClusterConfig::multi_hop();
         let f0 = Fixture::new(base.clone(), still(8), 300.0);
-        let mut maintained = form_clusters(&f0.world(), &cfg);
+        let mut maintained = form_clusters(&f0.world(), &cfg, SimTime::ZERO, None);
         let mut reelected = maintained.clone();
         let mut churn_maintained = 0.0;
         let mut churn_reelected = 0.0;
@@ -622,8 +610,9 @@ mod tests {
             let velocities: Vec<Point> =
                 (0..8).map(|_| Point::new(rng.range_f64(-3.0, 3.0), 0.0)).collect();
             let f = Fixture::new(jittered, velocities, 300.0);
-            let next_maintained = maintain_clusters(&maintained, &f.world(), &cfg, 0.5);
-            let next_reelected = form_clusters(&f.world(), &cfg);
+            let next_maintained =
+                maintain_clusters(&maintained, &f.world(), &cfg, 0.5, SimTime::ZERO, None);
+            let next_reelected = form_clusters(&f.world(), &cfg, SimTime::ZERO, None);
             churn_maintained += head_churn(&maintained, &next_maintained, 8);
             churn_reelected += head_churn(&reelected, &next_reelected, 8);
             maintained = next_maintained;
@@ -637,40 +626,38 @@ mod tests {
     }
 
     #[test]
-    fn obs_variants_cluster_identically_and_emit() {
+    fn recorder_changes_no_clustering_and_emits() {
         let positions: Vec<Point> =
             (0..12).map(|i| Point::new((i * 41 % 300) as f64, (i * 59 % 300) as f64)).collect();
         let f = Fixture::new(positions, still(12), 150.0);
         let cfg = ClusterConfig::multi_hop();
+        let heads = |c: &Clustering| (0..12).map(|i| c.head_of(VehicleId(i))).collect::<Vec<_>>();
         let mut rec = Recorder::new();
-        let plain = form_clusters(&f.world(), &cfg);
-        let probed = form_clusters_obs(&f.world(), &cfg, SimTime::from_secs(1), Some(&mut rec));
-        for i in 0..12 {
-            assert_eq!(plain.head_of(VehicleId(i)), probed.head_of(VehicleId(i)));
-        }
-        let maintained = maintain_clusters_obs(
-            &probed,
+        let plain = form_clusters(&f.world(), &cfg, SimTime::from_secs(1), None);
+        let traced = form_clusters(&f.world(), &cfg, SimTime::from_secs(1), Some(&mut rec));
+        assert_eq!(heads(&plain), heads(&traced));
+        let plain_next = maintain_clusters(&plain, &f.world(), &cfg, 0.5, SimTime::ZERO, None);
+        let traced_next = maintain_clusters(
+            &traced,
             &f.world(),
             &cfg,
             0.5,
             SimTime::from_secs(2),
             Some(&mut rec),
         );
-        assert_eq!(maintained.cluster_count(), plain.cluster_count());
+        assert_eq!(heads(&plain_next), heads(&traced_next));
         assert_eq!(rec.hub().counter("net.cluster.elect"), 1);
         assert_eq!(rec.hub().counter("net.cluster.maintain"), 1);
         let elect = rec.events().next().unwrap();
+        assert_eq!(elect.at, SimTime::from_secs(1));
         assert!(elect.fields.iter().any(|(k, _)| *k == "clusters"));
-        // Passing None changes nothing and emits nothing.
-        let silent = form_clusters_obs(&f.world(), &cfg, SimTime::ZERO, None);
-        assert_eq!(silent.cluster_count(), plain.cluster_count());
     }
 
     #[test]
     fn churn_metric() {
         let positions = (0..4).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
         let f = Fixture::new(positions, still(4), 300.0);
-        let a = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let a = form_clusters(&f.world(), &ClusterConfig::multi_hop(), SimTime::ZERO, None);
         let b = a.clone();
         assert_eq!(head_churn(&a, &b, 4), 0.0);
         let empty = Clustering::default();

@@ -32,7 +32,7 @@ use crate::message::{Packet, PacketId, RoutingStats};
 use crate::routing::RoutingProtocol;
 use crate::world::WorldView;
 use std::collections::HashSet;
-use vc_obs::{reborrow, EventBuf, Recorder, Sampler};
+use vc_obs::{reborrow, EventBuf, MemSize, Recorder, Sampler};
 use vc_sim::geom::SpatialGrid;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
@@ -325,7 +325,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     /// emit `causal.hop` / `causal.deliver` / `causal.drop` chain events,
     /// and each round ends with a [`Recorder::timeseries_tick`]. The
     /// simulation — including the RNG streams — is identical to the
-    /// unprobed path.
+    /// untraced path.
     pub fn run_rounds_obs(&mut self, rounds: usize, mut rec: Option<&mut Recorder>) {
         for _ in 0..rounds {
             self.round(reborrow(&mut rec));
@@ -336,7 +336,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         let _round = vc_obs::profile::frame("routing.round");
         {
             let _tick = vc_obs::profile::frame("shard.tick");
-            self.scenario.tick();
+            self.scenario.tick(self.now, None);
         }
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
         // One nonce per round seeds every copy's private stream; drawing it
@@ -546,8 +546,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         // every round on a plain traced run would be pure overhead.
         if let Some(rec) = reborrow(&mut rec) {
             if vc_obs::mem::enabled() && rec.timeseries().is_some() {
-                use vc_obs::MemSize;
-                let fleet = self.scenario.fleet.heap_bytes() + self.scenario.roadnet.heap_bytes();
+                let fleet = self.scenario.fleet.mem_bytes() + self.scenario.roadnet.mem_bytes();
                 let net = self.heap_bytes();
                 let obs = rec.mem_bytes();
                 let hub = rec.hub_mut();
@@ -598,7 +597,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         let stats = (self.stats.latencies_s.capacity() * size_of::<f64>()) as u64
             + (self.stats.hops.capacity() * size_of::<u32>()) as u64;
         let snap = self.delivered_snap.capacity() as u64;
-        packets + copies + stats + snap + self.table.heap_bytes() + self.grid.heap_bytes()
+        packets + copies + stats + snap + self.table.mem_bytes() + self.grid.mem_bytes()
     }
 }
 
@@ -725,7 +724,7 @@ mod tests {
             (s.sent, s.delivered, s.transmissions)
         };
         let mut rec = Recorder::new();
-        let run_probed = {
+        let run_traced = {
             let mut scenario = dense_urban(8, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
             sim.send_random_pairs(10, 128);
@@ -733,10 +732,10 @@ mod tests {
             let s = sim.into_stats();
             (s.sent, s.delivered, s.transmissions)
         };
-        assert_eq!(run_plain(), run_probed, "tracing must not perturb the run");
+        assert_eq!(run_plain(), run_traced, "tracing must not perturb the run");
         // Radio events cover every transmission; routing events cover
         // deliveries and forwards.
-        let (_, delivered, transmissions) = run_probed;
+        let (_, delivered, transmissions) = run_traced;
         assert_eq!(rec.hub().counter("sim.radio.tx"), transmissions);
         assert_eq!(rec.hub().counter("net.routing.deliver"), delivered);
         assert!(rec.hub().counter("net.routing.forward") > 0);

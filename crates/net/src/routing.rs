@@ -10,6 +10,7 @@ use crate::cluster::{form_clusters, ClusterConfig, Clustering};
 use crate::message::Packet;
 use crate::world::WorldView;
 use vc_sim::node::VehicleId;
+use vc_sim::time::SimTime;
 
 /// A routing protocol's per-round forwarding logic.
 ///
@@ -137,7 +138,7 @@ impl RoutingProtocol for ClusterRouting {
     }
 
     fn begin_round(&mut self, world: &WorldView<'_>) {
-        self.clustering = form_clusters(world, &self.config);
+        self.clustering = form_clusters(world, &self.config, SimTime::ZERO, None);
     }
 
     fn next_hops(
@@ -239,7 +240,7 @@ impl RoutingProtocol for MozoRouting {
     }
 
     fn begin_round(&mut self, world: &WorldView<'_>) {
-        self.zones = form_clusters(world, &self.config);
+        self.zones = form_clusters(world, &self.config, SimTime::ZERO, None);
     }
 
     fn next_hops(
@@ -369,7 +370,6 @@ mod tests {
     use super::*;
     use vc_sim::geom::Point;
     use vc_sim::radio::NeighborTable;
-    use vc_sim::time::SimTime;
 
     struct Fixture {
         positions: Vec<Point>,

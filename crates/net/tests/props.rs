@@ -149,7 +149,7 @@ prop! {
             neighbors: &table,
         };
         for cfg in [ClusterConfig::multi_hop(), ClusterConfig::moving_zone()] {
-            let clustering = form_clusters(&world, &cfg);
+            let clustering = form_clusters(&world, &cfg, SimTime::ZERO, None);
             for i in 0..w.positions.len() {
                 let id = VehicleId(i as u32);
                 match clustering.head_of(id) {
@@ -189,7 +189,7 @@ prop! {
             online: &before.online,
             neighbors: &table_before,
         };
-        let previous = form_clusters(&world_before, &cfg);
+        let previous = form_clusters(&world_before, &cfg, SimTime::ZERO, None);
         let table_after = NeighborTable::build(&after.positions, &after.online, 300.0);
         let world_after = WorldView {
             positions: &after.positions,
@@ -197,7 +197,7 @@ prop! {
             online: &after.online,
             neighbors: &table_after,
         };
-        let next = vc_net::cluster::maintain_clusters(&previous, &world_after, &cfg, 0.5);
+        let next = vc_net::cluster::maintain_clusters(&previous, &world_after, &cfg, 0.5, SimTime::ZERO, None);
         for i in 0..after.positions.len() {
             let id = VehicleId(i as u32);
             match next.head_of(id) {

@@ -7,7 +7,7 @@
 //! CI determinism gate diffs.
 //!
 //! ```
-//! use vc_testkit::json::Json;
+//! use vc_obs::json::Json;
 //! let doc = Json::object([
 //!     ("id", Json::from("E1")),
 //!     ("rows", Json::array([Json::from(1u64), Json::from(2u64)])),

@@ -9,8 +9,8 @@
 //!   code emits typed [`Event`]s (`at` sim-time, `component`, `kind`,
 //!   fields) and sim-time *spans* (begin/end pairs with elapsed time). The
 //!   recorder can run unbounded (short experiments) or as a bounded ring
-//!   buffer (long runs), and exports deterministic JSONL built on
-//!   `vc-testkit`'s insertion-ordered JSON writer.
+//!   buffer (long runs), and exports deterministic JSONL built on the
+//!   insertion-ordered [`json`] writer.
 //! * [`MetricsHub`] — a registry of counters, gauges, and fixed-bucket
 //!   log-scale [`Histogram`]s under hierarchical `component.metric` names,
 //!   with a snapshot-diff API for measuring deltas over a phase of a run.
@@ -33,15 +33,18 @@
 //!   snapshot diffs pushed into a fixed-capacity ring, exported as JSONL
 //!   (`experiments --timeseries`, `vcstat --timeline`).
 //!
-//! Instrumentation hooks throughout the workspace take
-//! `Option<&mut Recorder>`: passing `None` reduces every hook to a branch,
-//! so uninstrumented runs pay near zero. Code in `vc-sim` (which cannot
-//! depend on this crate) emits through the [`vc_sim::probe::Probe`] trait,
-//! which [`Recorder`] implements.
+//! * [`time`] and [`json`] — the sim-time clock and the JSON writer every
+//!   layer shares. They live here because this crate is the workspace's
+//!   dependency-free bottom: everything else, `vc-sim` included, depends
+//!   on it.
+//!
+//! Instrumentation hooks throughout the workspace, `vc-sim`'s included,
+//! take `Option<&mut Recorder>`: passing `None` reduces every hook to a
+//! branch, so uninstrumented runs pay near zero.
 //!
 //! ```
+//! use vc_obs::time::SimTime;
 //! use vc_obs::Recorder;
-//! use vc_sim::time::SimTime;
 //!
 //! let mut rec = Recorder::new();
 //! let span = rec.span_begin(SimTime::ZERO, "auth", "handshake");
@@ -58,18 +61,19 @@
 #![deny(unsafe_code)]
 
 pub mod causal;
+pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod profile;
 pub mod record;
+pub mod time;
 
 pub use causal::{SampleRate, Sampler, TraceId};
 pub use mem::{AllocDelta, AllocScope, CountingAlloc, MemSize};
 pub use metrics::{
     Histogram, MetricsHub, Quantiles, Snapshot, SnapshotDiff, TickSample, TimeSeries,
 };
-pub use record::{Event, EventBuf, Recorder, SpanId, SpanPhase};
-pub use vc_sim::probe::{Probe, Value};
+pub use record::{Event, EventBuf, Recorder, SpanId, SpanPhase, Value};
 
 /// Reborrows an optional recorder so it can be passed down a call chain
 /// without consuming the caller's `Option<&mut Recorder>`.
@@ -84,10 +88,4 @@ pub use vc_sim::probe::{Probe, Value};
 /// ```
 pub fn reborrow<'a>(rec: &'a mut Option<&mut Recorder>) -> Option<&'a mut Recorder> {
     rec.as_mut().map(|r| &mut **r)
-}
-
-/// Converts an optional recorder into the `Option<&mut dyn Probe>` that
-/// `vc-sim`'s probed code paths accept.
-pub fn as_probe<'a>(rec: &'a mut Option<&mut Recorder>) -> Option<&'a mut dyn Probe> {
-    rec.as_mut().map(|r| &mut **r as &mut dyn Probe)
 }

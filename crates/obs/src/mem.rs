@@ -169,13 +169,6 @@ pub fn enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("VC_MEM").map(|v| v != "0").unwrap_or(true))
 }
 
-/// Registers the counting allocator as `vc_testkit::bench`'s allocation
-/// probe, so bench suites report allocs/iter and alloc bytes/iter columns.
-/// Call once from a bench binary's `main` (after [`counting_allocator!`]).
-pub fn register_bench_probe() {
-    vc_testkit::bench::set_alloc_probe(thread_counters);
-}
-
 /// The allocation delta observed by an [`AllocScope`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocDelta {
@@ -302,30 +295,6 @@ impl<T: MemSize, S> MemSize for std::collections::HashSet<T, S> {
     fn mem_bytes(&self) -> u64 {
         let table = self.capacity() as u64 * (std::mem::size_of::<T>() as u64 + 1);
         table + self.iter().map(MemSize::mem_bytes).sum::<u64>()
-    }
-}
-
-impl MemSize for vc_sim::mobility::Fleet {
-    fn mem_bytes(&self) -> u64 {
-        self.heap_bytes()
-    }
-}
-
-impl MemSize for vc_sim::roadnet::RoadNetwork {
-    fn mem_bytes(&self) -> u64 {
-        self.heap_bytes()
-    }
-}
-
-impl MemSize for vc_sim::radio::NeighborTable {
-    fn mem_bytes(&self) -> u64 {
-        self.heap_bytes()
-    }
-}
-
-impl MemSize for vc_sim::geom::SpatialGrid {
-    fn mem_bytes(&self) -> u64 {
-        self.heap_bytes()
     }
 }
 

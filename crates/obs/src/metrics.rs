@@ -1,16 +1,17 @@
 //! The shared metrics registry: counters, gauges, and fixed-bucket
 //! log-scale histograms under hierarchical `component.metric` names.
 //!
-//! [`Histogram`] exists because `vc_sim::metrics::Summary` keeps every
-//! sample — fine for a few thousand experiment data points, wrong for
-//! per-message radio telemetry. A histogram is 64 buckets of `u64` no
-//! matter how many samples it absorbs, at the price of approximate
-//! percentiles (exact to the power-of-two bucket that contains them).
+//! This is the workspace's one metrics system. A [`Histogram`] is 64
+//! buckets of `u64` no matter how many samples it absorbs, at the price of
+//! approximate percentiles (exact to the power-of-two bucket that contains
+//! them) — right for per-message radio telemetry. Code that needs exact
+//! percentiles over a few hundred samples keeps them in a plain `Vec` and
+//! ranks it directly, as E5 does.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 
-use vc_testkit::json::Json;
+use crate::json::Json;
 
 /// Number of fixed buckets in a [`Histogram`].
 pub const BUCKETS: usize = 64;

@@ -55,7 +55,7 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use vc_testkit::json::Json;
+use crate::json::Json;
 
 #[derive(Debug)]
 struct Node {

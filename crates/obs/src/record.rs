@@ -8,11 +8,9 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
-use vc_sim::probe::{Probe, Value};
-use vc_sim::time::{SimDuration, SimTime};
-use vc_testkit::json::Json;
-
+use crate::json::Json;
 use crate::metrics::{MetricsHub, TimeSeries};
+use crate::time::{SimDuration, SimTime};
 
 /// Identifies one span within a [`Recorder`]; returned by
 /// [`Recorder::span_begin`] and consumed by [`Recorder::span_end`].
@@ -33,6 +31,61 @@ pub enum SpanPhase {
     Begin,
     /// The span just closed; the event carries the elapsed sim-time.
     End,
+}
+
+/// A typed field value attached to an [`Event`].
+///
+/// Hooks pass these small values rather than strings so nothing is
+/// formatted unless a recorder is attached.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Unsigned integer (counts, ids, sizes).
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Float (latencies, rates).
+    F64(f64),
+    /// Boolean (success flags).
+    Bool(bool),
+    /// Short string (names, labels).
+    Str(String),
+}
+
+macro_rules! value_from {
+    ($($ty:ty => $variant:ident as $cast:ty),+ $(,)?) => {$(
+        impl From<$ty> for Value {
+            fn from(v: $ty) -> Value {
+                Value::$variant(v as $cast)
+            }
+        }
+    )+};
+}
+
+value_from!(
+    u64 => U64 as u64,
+    u32 => U64 as u64,
+    usize => U64 as u64,
+    i64 => I64 as i64,
+    i32 => I64 as i64,
+    f64 => F64 as f64,
+);
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::Str(v.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::Str(v)
+    }
 }
 
 /// One structured instrumentation record.
@@ -382,24 +435,22 @@ impl crate::mem::MemSize for Recorder {
     }
 }
 
-impl Probe for Recorder {
-    fn emit(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        fields: &[(&'static str, Value)],
-    ) {
-        self.event(at, component, kind, fields.to_vec());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn value_conversions() {
+        assert_eq!(Value::from(3u64), Value::U64(3));
+        assert_eq!(Value::from(3usize), Value::U64(3));
+        assert_eq!(Value::from(-3i64), Value::I64(-3));
+        assert_eq!(Value::from(2.5), Value::F64(2.5));
+        assert_eq!(Value::from(true), Value::Bool(true));
+        assert_eq!(Value::from("x"), Value::Str("x".into()));
     }
 
     #[test]
@@ -625,16 +676,5 @@ mod tests {
         let big = build(4096).mem_bytes();
         assert!(small > 0 && big > small, "small {small}, big {big}");
         assert_eq!(build(100).mem_bytes(), build(100).mem_bytes());
-    }
-
-    #[test]
-    fn recorder_acts_as_probe() {
-        let mut rec = Recorder::new();
-        {
-            let probe: &mut dyn Probe = &mut rec;
-            probe.emit(t(1), "sim", "radio.rx", &[("latency_us", Value::U64(250))]);
-        }
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.hub().counter("sim.radio.rx"), 1);
     }
 }

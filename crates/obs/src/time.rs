@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// An absolute instant on the simulation clock, in microseconds since start.
 ///
 /// ```
-/// use vc_sim::time::{SimTime, SimDuration};
+/// use vc_obs::time::{SimTime, SimDuration};
 /// let t = SimTime::ZERO + SimDuration::from_millis(1500);
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
@@ -22,7 +22,7 @@ pub struct SimTime(u64);
 /// A span of simulation time, in microseconds.
 ///
 /// ```
-/// use vc_sim::time::SimDuration;
+/// use vc_obs::time::SimDuration;
 /// assert_eq!(SimDuration::from_secs(2) / 4, SimDuration::from_millis(500));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

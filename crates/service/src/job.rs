@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::svc::fnv1a64;
+use vc_obs::json::Json;
 use vc_obs::{reborrow, MemSize, Recorder};
 use vc_sim::scenario::{Scenario, ScenarioBuilder};
-use vc_testkit::json::Json;
 
 /// Upper bound on `ticks` accepted for a single job.
 pub const MAX_TICKS: u32 = 50_000;

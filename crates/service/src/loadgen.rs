@@ -15,9 +15,9 @@ use std::io;
 use std::time::Instant;
 
 use vc_net::svc::{JobPhase, JobTimes};
+use vc_obs::json::Json;
 use vc_obs::{Histogram, Quantiles};
 use vc_sim::rng::SimRng;
-use vc_testkit::json::Json;
 
 use crate::client::Client;
 use crate::job::JobSpec;

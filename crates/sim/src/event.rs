@@ -4,10 +4,10 @@
 //! non-decreasing timestamp order, with FIFO order among equal timestamps
 //! (insertion sequence breaks ties), which keeps runs deterministic.
 
-use crate::probe::Probe;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use vc_obs::Recorder;
 
 /// Running totals an [`EventQueue`] keeps about itself.
 ///
@@ -194,8 +194,11 @@ impl<E> Simulation<E> {
     /// Runs until the queue drains, `horizon` is passed, or the handler halts.
     ///
     /// Events due strictly after `horizon` are left in the queue; the clock
-    /// does not advance past the last processed event.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
+    /// does not advance past the last processed event. With a recorder, a
+    /// summary `sim`/`kernel` event is emitted when the loop exits: lifetime
+    /// events scheduled/fired, the queue-depth high-water mark, and what is
+    /// still pending.
+    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F, rec: Option<&mut Recorder>)
     where
         F: FnMut(SimTime, E, &mut EventQueue<E>) -> Flow,
     {
@@ -209,28 +212,13 @@ impl<E> Simulation<E> {
                 break;
             }
         }
-    }
-
-    /// [`Simulation::run_until`] plus a summary `sim.kernel` event emitted
-    /// through `probe` when the loop exits: lifetime events
-    /// scheduled/fired, the queue-depth high-water mark, and what is still
-    /// pending.
-    pub fn run_until_probed<F>(
-        &mut self,
-        horizon: SimTime,
-        handler: F,
-        probe: Option<&mut dyn Probe>,
-    ) where
-        F: FnMut(SimTime, E, &mut EventQueue<E>) -> Flow,
-    {
-        self.run_until(horizon, handler);
-        if let Some(probe) = probe {
+        if let Some(rec) = rec {
             let stats = self.queue.stats();
-            probe.emit(
+            rec.event(
                 self.queue.now(),
                 "sim",
                 "kernel",
-                &[
+                vec![
                     ("scheduled", stats.scheduled.into()),
                     ("fired", stats.fired.into()),
                     ("max_depth", stats.max_depth.into()),
@@ -301,10 +289,14 @@ mod tests {
             sim.queue_mut().schedule(SimTime::from_secs(s), s);
         }
         let mut seen = Vec::new();
-        sim.run_until(SimTime::from_secs(4), |_, e, _| {
-            seen.push(e);
-            Flow::Continue
-        });
+        sim.run_until(
+            SimTime::from_secs(4),
+            |_, e, _| {
+                seen.push(e);
+                Flow::Continue
+            },
+            None,
+        );
         assert_eq!(seen, vec![1, 2, 3, 4]);
         assert_eq!(sim.now(), SimTime::from_secs(4));
         assert_eq!(sim.events_processed(), 4);
@@ -315,13 +307,17 @@ mod tests {
         let mut sim = Simulation::new();
         sim.queue_mut().schedule(SimTime::from_secs(1), 0u32);
         let mut count = 0;
-        sim.run_until(SimTime::from_secs(100), |_, gen, q| {
-            count += 1;
-            if gen < 4 {
-                q.schedule_in(SimDuration::from_secs(1), gen + 1);
-            }
-            Flow::Continue
-        });
+        sim.run_until(
+            SimTime::from_secs(100),
+            |_, gen, q| {
+                count += 1;
+                if gen < 4 {
+                    q.schedule_in(SimDuration::from_secs(1), gen + 1);
+                }
+                Flow::Continue
+            },
+            None,
+        );
         assert_eq!(count, 5);
         assert_eq!(sim.now(), SimTime::from_secs(5));
     }
@@ -333,14 +329,18 @@ mod tests {
             sim.queue_mut().schedule(SimTime::from_secs(s), s);
         }
         let mut seen = 0;
-        sim.run_until(SimTime::MAX, |_, e, _| {
-            seen = e;
-            if e == 3 {
-                Flow::Halt
-            } else {
-                Flow::Continue
-            }
-        });
+        sim.run_until(
+            SimTime::MAX,
+            |_, e, _| {
+                seen = e;
+                if e == 3 {
+                    Flow::Halt
+                } else {
+                    Flow::Continue
+                }
+            },
+            None,
+        );
         assert_eq!(seen, 3);
     }
 
@@ -357,30 +357,32 @@ mod tests {
     }
 
     #[test]
-    fn run_until_probed_emits_kernel_summary() {
-        use crate::probe::{Probe, Value};
+    fn run_until_with_recorder_emits_kernel_summary() {
+        use vc_obs::Value;
 
-        struct Last(Option<Vec<(&'static str, Value)>>);
-        impl Probe for Last {
-            fn emit(
-                &mut self,
-                _at: SimTime,
-                component: &'static str,
-                kind: &'static str,
-                fields: &[(&'static str, Value)],
-            ) {
-                assert_eq!((component, kind), ("sim", "kernel"));
-                self.0 = Some(fields.to_vec());
+        let run = |rec: Option<&mut Recorder>| {
+            let mut sim = Simulation::new();
+            for s in 1..=6 {
+                sim.queue_mut().schedule(SimTime::from_secs(s), s);
             }
-        }
-
-        let mut sim = Simulation::new();
-        for s in 1..=6 {
-            sim.queue_mut().schedule(SimTime::from_secs(s), s);
-        }
-        let mut probe = Last(None);
-        sim.run_until_probed(SimTime::from_secs(4), |_, _, _| Flow::Continue, Some(&mut probe));
-        let fields = probe.0.expect("summary emitted");
+            let mut seen = Vec::new();
+            sim.run_until(
+                SimTime::from_secs(4),
+                |_, e, _| {
+                    seen.push(e);
+                    Flow::Continue
+                },
+                rec,
+            );
+            (seen, sim.now(), sim.events_processed(), sim.queue_mut().len())
+        };
+        let mut rec = Recorder::new();
+        assert_eq!(run(None), run(Some(&mut rec)));
+        assert_eq!(rec.len(), 1);
+        let summary = rec.events().next().unwrap();
+        assert_eq!((summary.component, summary.kind), ("sim", "kernel"));
+        assert_eq!(summary.at, SimTime::from_secs(4));
+        let fields = &summary.fields;
         assert!(fields.contains(&("scheduled", Value::U64(6))));
         assert!(fields.contains(&("fired", Value::U64(4))));
         assert!(fields.contains(&("max_depth", Value::U64(6))));

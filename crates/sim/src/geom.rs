@@ -5,6 +5,7 @@
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
+use vc_obs::MemSize;
 
 /// A point (or displacement) in the plane, in meters.
 ///
@@ -252,17 +253,6 @@ impl SpatialGrid {
         self.cell_size
     }
 
-    /// Deep heap bytes: hash-table slots (one `(key, bucket)` pair plus a
-    /// control byte per slot of capacity, the SwissTable layout) plus each
-    /// cell bucket's capacity. Iteration order is randomized but the sum
-    /// is order-independent, so the figure is deterministic.
-    pub fn heap_bytes(&self) -> u64 {
-        let slot = std::mem::size_of::<((i64, i64), Vec<(usize, Point)>)>() as u64 + 1;
-        let buckets: usize =
-            self.cells.values().map(|v| v.capacity() * std::mem::size_of::<(usize, Point)>()).sum();
-        self.cells.capacity() as u64 * slot + buckets as u64
-    }
-
     fn key(&self, p: Point) -> (i64, i64) {
         ((p.x / self.cell_size).floor() as i64, (p.y / self.cell_size).floor() as i64)
     }
@@ -331,6 +321,19 @@ impl SpatialGrid {
         let mut out = Vec::new();
         self.within_into(center, radius, &mut out);
         out
+    }
+}
+
+impl MemSize for SpatialGrid {
+    /// Deep heap bytes: hash-table slots (one `(key, bucket)` pair plus a
+    /// control byte per slot of capacity, the SwissTable layout) plus each
+    /// cell bucket's capacity. Iteration order is randomized but the sum
+    /// is order-independent, so the figure is deterministic.
+    fn mem_bytes(&self) -> u64 {
+        let slot = std::mem::size_of::<((i64, i64), Vec<(usize, Point)>)>() as u64 + 1;
+        let buckets: usize =
+            self.cells.values().map(|v| v.capacity() * std::mem::size_of::<(usize, Point)>()).sum();
+        self.cells.capacity() as u64 * slot + buckets as u64
     }
 }
 

@@ -3,8 +3,8 @@
 //! The simulation substrate for the `vcloud` workspace: a deterministic
 //! discrete-event kernel, planar geometry, synthetic road networks, mobility
 //! models for the three vehicular-cloud regimes (parked, urban, highway), a
-//! probabilistic V2V radio with roadside units and a cellular uplink, and
-//! measurement instruments.
+//! probabilistic V2V radio with roadside units and a cellular uplink.
+//! Instrumented paths take an `Option<&mut vc_obs::Recorder>`.
 //!
 //! Everything is deterministic given a seed: the kernel orders simultaneous
 //! events FIFO, the RNG is a self-contained xoshiro256**, and mobility uses
@@ -29,33 +29,29 @@
 
 pub mod event;
 pub mod geom;
-pub mod metrics;
 pub mod mobility;
 pub mod node;
-pub mod probe;
 pub mod radio;
 pub mod rng;
 pub mod roadnet;
 pub mod scenario;
 pub mod shard;
-pub mod time;
-pub mod trace;
+/// The simulation clock. It lives in `vc-obs`, the bottom crate, so the
+/// recorder can stamp events with it.
+pub use vc_obs::time;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::event::{EventQueue, Flow, QueueStats, Simulation};
     pub use crate::geom::{Point, Rect, Segment, SpatialGrid};
-    pub use crate::metrics::{Counter, Metrics, Ratio, Summary};
     pub use crate::mobility::{idm_acceleration, Fleet, IdmParams, Mobility, Vehicle};
     pub use crate::node::{
         Kinematics, Resources, SaeLevel, SensorSuite, VehicleId, VehicleProfile,
     };
-    pub use crate::probe::{Probe, Value};
     pub use crate::radio::{Cellular, Channel, NeighborTable, Rsu, RsuId, RsuNetwork};
     pub use crate::rng::SimRng;
     pub use crate::roadnet::{NodeId, RoadId, RoadNetwork};
     pub use crate::scenario::{CanyonModel, Regime, Scenario, ScenarioBuilder};
     pub use crate::shard::{map_shards, shard_count, ShardPlan};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceMeta, TraceSample};
 }

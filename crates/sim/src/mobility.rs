@@ -18,6 +18,7 @@ use crate::node::{Kinematics, VehicleId, VehicleProfile};
 use crate::rng::SimRng;
 use crate::roadnet::{NodeId, RoadNetwork};
 use crate::shard::ShardPlan;
+use vc_obs::MemSize;
 
 /// How a vehicle moves.
 #[derive(Debug, Clone)]
@@ -287,33 +288,6 @@ impl Fleet {
     /// Number of online vehicles.
     pub fn online_count(&self) -> usize {
         self.online.iter().filter(|&&o| o).count()
-    }
-
-    /// Deep heap bytes owned by the fleet: the SoA slabs (by capacity —
-    /// the memory actually reserved), per-vehicle waypoint paths, and the
-    /// reused stepping scratch. Derived purely from capacities and
-    /// lengths, so structurally identical fleets report identical bytes
-    /// regardless of shard count or allocator — which lets the
-    /// `mem.fleet.bytes` gauge ride in the byte-compared deterministic
-    /// time-series (`vc_obs::mem`).
-    pub fn heap_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let paths: usize = self
-            .vehicles
-            .iter()
-            .map(|v| match &v.mobility {
-                Mobility::Waypoint(w) => w.path.capacity() * size_of::<NodeId>(),
-                _ => 0,
-            })
-            .sum();
-        (self.vehicles.capacity() * size_of::<Vehicle>()
-            + paths
-            + self.pos.capacity() * size_of::<Point>()
-            + self.vel.capacity() * size_of::<Point>()
-            + self.online.capacity()
-            + self.rngs.capacity() * size_of::<SimRng>()
-            + self.lane_scratch.capacity() * size_of::<((i8, i64), usize, f64, f64)>()
-            + self.leaders.capacity() * size_of::<Option<(f64, f64)>>()) as u64
     }
 
     /// Advances every online vehicle by `dt` seconds using the configured
@@ -649,6 +623,35 @@ fn step_cruise(
     kin.velocity = Point::new(c.direction * c.speed, 0.0);
 }
 
+impl MemSize for Fleet {
+    /// Deep heap bytes owned by the fleet: the SoA slabs (by capacity —
+    /// the memory actually reserved), per-vehicle waypoint paths, and the
+    /// reused stepping scratch. Derived purely from capacities and
+    /// lengths, so structurally identical fleets report identical bytes
+    /// regardless of shard count or allocator — which lets the
+    /// `mem.fleet.bytes` gauge ride in the byte-compared deterministic
+    /// time-series (`vc_obs::mem`).
+    fn mem_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let paths: usize = self
+            .vehicles
+            .iter()
+            .map(|v| match &v.mobility {
+                Mobility::Waypoint(w) => w.path.capacity() * size_of::<NodeId>(),
+                _ => 0,
+            })
+            .sum();
+        (self.vehicles.capacity() * size_of::<Vehicle>()
+            + paths
+            + self.pos.capacity() * size_of::<Point>()
+            + self.vel.capacity() * size_of::<Point>()
+            + self.online.capacity()
+            + self.rngs.capacity() * size_of::<SimRng>()
+            + self.lane_scratch.capacity() * size_of::<((i8, i64), usize, f64, f64)>()
+            + self.leaders.capacity() * size_of::<Option<(f64, f64)>>()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_is_deterministic_and_shard_invariant() {
+    fn mem_bytes_is_deterministic_and_shard_invariant() {
         let hwy = RoadNetwork::highway(2000.0, 3, 33.3);
         let build = || {
             let mut rng = SimRng::seed_from(9);
@@ -867,15 +870,15 @@ mod tests {
         };
         let mut a = build();
         let mut b = build();
-        assert!(a.heap_bytes() > 0);
-        assert_eq!(a.heap_bytes(), b.heap_bytes());
+        assert!(a.mem_bytes() > 0);
+        assert_eq!(a.mem_bytes(), b.mem_bytes());
         // Stepping with different shard counts must leave the reported
         // footprint identical (the gauge rides in byte-compared output).
         for _ in 0..30 {
             a.step_sharded(0.5, &hwy, 1);
             b.step_sharded(0.5, &hwy, 4);
         }
-        assert_eq!(a.heap_bytes(), b.heap_bytes());
+        assert_eq!(a.mem_bytes(), b.mem_bytes());
     }
 
     #[test]

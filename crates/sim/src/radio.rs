@@ -10,9 +10,9 @@
 
 use crate::geom::{Point, SpatialGrid};
 use crate::node::VehicleId;
-use crate::probe::Probe;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use vc_obs::{MemSize, Recorder};
 
 /// V2V channel parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,46 +72,24 @@ impl Channel {
     /// Attempts a single-hop transmission of `bytes` over `dist` meters with
     /// `contenders` other transmitters nearby. Returns the one-hop latency on
     /// success, `None` on loss.
+    ///
+    /// With a recorder, emits `sim` events `radio.tx` for the attempt and
+    /// then `radio.rx` (with `latency_us`) or `radio.drop` for the outcome,
+    /// stamped `at`. The RNG stream is the same with or without one.
     pub fn try_deliver(
-        &self,
-        dist: f64,
-        contenders: usize,
-        bytes: usize,
-        rng: &mut SimRng,
-    ) -> Option<SimDuration> {
-        if !rng.chance(self.reception_probability(dist)) {
-            return None;
-        }
-        Some(self.latency(contenders, bytes, rng))
-    }
-
-    /// [`Channel::try_deliver`] with instrumentation: emits `sim` events
-    /// `radio.tx` for the attempt and then `radio.rx` (with `latency_us`)
-    /// or `radio.drop` for the outcome. Consumes the RNG identically to the
-    /// unprobed path, so a run's random stream is unchanged by tracing.
-    pub fn try_deliver_probed(
         &self,
         at: SimTime,
         dist: f64,
         contenders: usize,
         bytes: usize,
         rng: &mut SimRng,
-        probe: Option<&mut dyn Probe>,
+        rec: Option<&mut Recorder>,
     ) -> Option<SimDuration> {
-        let outcome = self.try_deliver(dist, contenders, bytes, rng);
-        if let Some(probe) = probe {
-            probe.emit(
-                at,
-                "sim",
-                "radio.tx",
-                &[("bytes", bytes.into()), ("contenders", contenders.into())],
-            );
-            match outcome {
-                Some(latency) => {
-                    probe.emit(at, "sim", "radio.rx", &[("latency_us", latency.as_micros().into())])
-                }
-                None => probe.emit(at, "sim", "radio.drop", &[("dist_m", dist.into())]),
-            }
+        let outcome = rng
+            .chance(self.reception_probability(dist))
+            .then(|| self.latency(contenders, bytes, rng));
+        if let Some(rec) = rec {
+            record_delivery(rec, at, bytes, contenders, outcome, dist);
         }
         outcome
     }
@@ -123,6 +101,29 @@ impl Channel {
         let contention_mean = self.contention_per_neighbor_s * (contenders as f64 + 1.0);
         let contention = rng.exp(contention_mean.max(1e-9));
         SimDuration::from_secs_f64(serialization + contention + 0.000_5)
+    }
+}
+
+/// Emits the `radio.tx` + `radio.rx`/`radio.drop` pair for one attempt.
+pub(crate) fn record_delivery(
+    rec: &mut Recorder,
+    at: SimTime,
+    bytes: usize,
+    contenders: usize,
+    outcome: Option<SimDuration>,
+    dist: f64,
+) {
+    rec.event(
+        at,
+        "sim",
+        "radio.tx",
+        vec![("bytes", bytes.into()), ("contenders", contenders.into())],
+    );
+    match outcome {
+        Some(latency) => {
+            rec.event(at, "sim", "radio.rx", vec![("latency_us", latency.as_micros().into())])
+        }
+        None => rec.event(at, "sim", "radio.drop", vec![("dist_m", dist.into())]),
     }
 }
 
@@ -319,15 +320,6 @@ impl NeighborTable {
         NeighborTable { offsets: vec![0], flat: Vec::new() }
     }
 
-    /// Deep heap bytes of the CSR arrays, by capacity (the reserved
-    /// memory, which in-place rebuilds keep across rounds). Deterministic
-    /// and shard-count invariant, so the `mem.net.bytes` gauge built on it
-    /// can ride in byte-compared time-series output.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.flat.capacity() * std::mem::size_of::<VehicleId>()) as u64
-    }
-
     /// Builds the table from vehicle positions (id = index) and a channel
     /// range. Offline vehicles should be passed with a position but excluded
     /// via `online`.
@@ -408,6 +400,17 @@ impl NeighborTable {
     }
 }
 
+impl MemSize for NeighborTable {
+    /// Deep heap bytes of the CSR arrays, by capacity (the reserved
+    /// memory, which in-place rebuilds keep across rounds). Deterministic
+    /// and shard-count invariant, so the `mem.net.bytes` gauge built on it
+    /// can ride in byte-compared time-series output.
+    fn mem_bytes(&self) -> u64 {
+        (self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.flat.capacity() * std::mem::size_of::<VehicleId>()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +439,7 @@ mod tests {
         let ch = Channel::dsrc();
         let mut rng = SimRng::seed_from(1);
         for _ in 0..100 {
-            assert!(ch.try_deliver(400.0, 0, 100, &mut rng).is_none());
+            assert!(ch.try_deliver(SimTime::ZERO, 400.0, 0, 100, &mut rng, None).is_none());
         }
     }
 
@@ -444,7 +447,9 @@ mod tests {
     fn delivery_mostly_succeeds_close() {
         let ch = Channel::dsrc();
         let mut rng = SimRng::seed_from(2);
-        let ok = (0..1000).filter(|_| ch.try_deliver(50.0, 3, 200, &mut rng).is_some()).count();
+        let ok = (0..1000)
+            .filter(|_| ch.try_deliver(SimTime::ZERO, 50.0, 3, 200, &mut rng, None).is_some())
+            .count();
         assert!(ok > 950, "only {ok}/1000 delivered");
     }
 
@@ -472,51 +477,25 @@ mod tests {
     }
 
     #[test]
-    fn probed_delivery_matches_unprobed_stream() {
-        use crate::probe::{Probe, Value};
-
-        struct Kinds(Vec<&'static str>);
-        impl Probe for Kinds {
-            fn emit(
-                &mut self,
-                _at: SimTime,
-                _component: &'static str,
-                kind: &'static str,
-                _fields: &[(&'static str, Value)],
-            ) {
-                self.0.push(kind);
-            }
-        }
-
+    fn recorded_delivery_matches_unrecorded_stream() {
         let ch = Channel::dsrc();
         let mut plain_rng = SimRng::seed_from(11);
-        let mut probed_rng = SimRng::seed_from(11);
-        let mut kinds = Kinds(Vec::new());
+        let mut traced_rng = SimRng::seed_from(11);
+        let mut rec = Recorder::new();
         for i in 0..50 {
             // Mix of in-range and out-of-range attempts.
             let dist = if i % 3 == 0 { 400.0 } else { 50.0 };
-            let plain = ch.try_deliver(dist, 2, 100, &mut plain_rng);
-            let probed = ch.try_deliver_probed(
-                SimTime::ZERO,
-                dist,
-                2,
-                100,
-                &mut probed_rng,
-                Some(&mut kinds),
-            );
-            assert_eq!(plain, probed, "attempt {i}");
+            let plain = ch.try_deliver(SimTime::ZERO, dist, 2, 100, &mut plain_rng, None);
+            let traced =
+                ch.try_deliver(SimTime::ZERO, dist, 2, 100, &mut traced_rng, Some(&mut rec));
+            assert_eq!(plain, traced, "attempt {i}");
         }
-        let tx = kinds.0.iter().filter(|k| **k == "radio.tx").count();
-        let rx = kinds.0.iter().filter(|k| **k == "radio.rx").count();
-        let drop = kinds.0.iter().filter(|k| **k == "radio.drop").count();
-        assert_eq!(tx, 50);
-        assert_eq!(rx + drop, 50);
-        assert!(rx > 0 && drop > 0);
-        // Passing no probe emits nothing and still matches.
-        let mut silent_rng = SimRng::seed_from(11);
-        let again = ch.try_deliver_probed(SimTime::ZERO, 50.0, 2, 100, &mut silent_rng, None);
-        let mut check_rng = SimRng::seed_from(11);
-        assert_eq!(again, ch.try_deliver(50.0, 2, 100, &mut check_rng));
+        assert_eq!(plain_rng.next_u64(), traced_rng.next_u64(), "RNG streams diverged");
+        let count = |kind| rec.hub().counter(&format!("sim.{kind}"));
+        assert_eq!(count("radio.tx"), 50);
+        assert_eq!(count("radio.rx") + count("radio.drop"), 50);
+        assert!(count("radio.rx") > 0 && count("radio.drop") > 0);
+        assert_eq!(rec.len(), 100);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::geom::{Point, Segment};
 use crate::rng::SimRng;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
+use vc_obs::MemSize;
 
 /// `VC_ROADNET_LINEAR=1` forces the linear-scan reference paths for
 /// [`RoadNetwork::nearest_node`] / [`RoadNetwork::distance_to_nearest_road`]
@@ -75,22 +76,6 @@ impl RoadNetwork {
     /// Creates an empty network.
     pub fn new() -> Self {
         RoadNetwork::default()
-    }
-
-    /// Deep heap bytes of the graph and (when built) its lazy spatial
-    /// index, by capacity. Deterministic for identically constructed and
-    /// identically queried networks.
-    pub fn heap_bytes(&self) -> u64 {
-        let adjacency = self.adjacency.capacity() * std::mem::size_of::<Vec<RoadId>>()
-            + self
-                .adjacency
-                .iter()
-                .map(|a| a.capacity() * std::mem::size_of::<RoadId>())
-                .sum::<usize>();
-        (self.intersections.capacity() * std::mem::size_of::<Intersection>()
-            + self.roads.capacity() * std::mem::size_of::<Road>()
-            + adjacency) as u64
-            + self.index.get().map_or(0, RoadIndex::heap_bytes)
     }
 
     /// Adds an intersection at `pos` and returns its id.
@@ -433,15 +418,6 @@ struct RoadIndex {
 }
 
 impl RoadIndex {
-    /// Deep heap bytes of the bucket grids, by capacity.
-    fn heap_bytes(&self) -> u64 {
-        let buckets = |cells: &Vec<Vec<u32>>| -> usize {
-            cells.capacity() * std::mem::size_of::<Vec<u32>>()
-                + cells.iter().map(|c| c.capacity() * std::mem::size_of::<u32>()).sum::<usize>()
-        };
-        (buckets(&self.node_cells) + buckets(&self.road_cells)) as u64
-    }
-
     fn build(intersections: &[Intersection], roads: &[Road]) -> Self {
         let mut min = Point::new(0.0, 0.0);
         let mut max = Point::new(0.0, 0.0);
@@ -554,6 +530,35 @@ impl RoadIndex {
                 }
             }
         }
+    }
+}
+
+impl MemSize for RoadNetwork {
+    /// Deep heap bytes of the graph and (when built) its lazy spatial
+    /// index, by capacity. Deterministic for identically constructed and
+    /// identically queried networks.
+    fn mem_bytes(&self) -> u64 {
+        let adjacency = self.adjacency.capacity() * std::mem::size_of::<Vec<RoadId>>()
+            + self
+                .adjacency
+                .iter()
+                .map(|a| a.capacity() * std::mem::size_of::<RoadId>())
+                .sum::<usize>();
+        (self.intersections.capacity() * std::mem::size_of::<Intersection>()
+            + self.roads.capacity() * std::mem::size_of::<Road>()
+            + adjacency) as u64
+            + self.index.get().map_or(0, MemSize::mem_bytes)
+    }
+}
+
+impl MemSize for RoadIndex {
+    /// Deep heap bytes of the bucket grids, by capacity.
+    fn mem_bytes(&self) -> u64 {
+        let buckets = |cells: &Vec<Vec<u32>>| -> usize {
+            cells.capacity() * std::mem::size_of::<Vec<u32>>()
+                + cells.iter().map(|c| c.capacity() * std::mem::size_of::<u32>()).sum::<usize>()
+        };
+        (buckets(&self.node_cells) + buckets(&self.road_cells)) as u64
     }
 }
 

@@ -3,11 +3,11 @@
 
 use crate::geom::{Point, SpatialGrid};
 use crate::mobility::Fleet;
-use crate::probe::Probe;
-use crate::radio::{Cellular, Channel, NeighborTable, RsuNetwork};
+use crate::radio::{record_delivery, Cellular, Channel, NeighborTable, RsuNetwork};
 use crate::rng::SimRng;
 use crate::roadnet::RoadNetwork;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+use vc_obs::Recorder;
 
 /// Which of the paper's three v-cloud regimes a scenario models (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,32 +218,28 @@ impl Scenario {
     /// Advances the world one `dt` step, fanning the mobility update out
     /// over [`Scenario::shards`] worker threads. The result is bitwise
     /// identical for every shard count.
-    pub fn tick(&mut self) {
+    ///
+    /// With a recorder, emits one `sim`/`tick` event at sim-time `at`
+    /// carrying the fleet size and online count; world evolution is the
+    /// same with or without one.
+    pub fn tick(&mut self, at: SimTime, rec: Option<&mut Recorder>) {
         let dt = self.dt;
         self.fleet.step_sharded(dt, &self.roadnet, self.shards);
+        if let Some(rec) = rec {
+            let online = self.fleet.online_count();
+            rec.event(
+                at,
+                "sim",
+                "tick",
+                vec![("vehicles", self.fleet.len().into()), ("online", online.into())],
+            );
+        }
     }
 
     /// Advances the world `n` steps.
     pub fn run_ticks(&mut self, n: usize) {
         for _ in 0..n {
-            self.tick();
-        }
-    }
-
-    /// [`Scenario::tick`] with instrumentation: emits one `sim`/`tick`
-    /// event at sim-time `at` carrying the fleet size and online count.
-    /// World evolution (and the RNG stream) is identical to the unprobed
-    /// path.
-    pub fn tick_probed(&mut self, at: SimTime, probe: Option<&mut dyn Probe>) {
-        self.tick();
-        if let Some(probe) = probe {
-            let online = self.fleet.online_count();
-            probe.emit(
-                at,
-                "sim",
-                "tick",
-                &[("vehicles", self.fleet.len().into()), ("online", online.into())],
-            );
+            self.tick(SimTime::ZERO, None);
         }
     }
 
@@ -275,47 +271,24 @@ impl Scenario {
     /// Attempts a single-hop transmission between two positions, applying
     /// the channel's distance curve *and* the canyon obstruction. Returns
     /// the one-hop latency on success.
+    ///
+    /// With a recorder, emits the same `radio.tx` plus `radio.rx`/`radio.drop`
+    /// events as [`Channel::try_deliver`], stamped `at`. The RNG stream is
+    /// the same with or without one.
     pub fn try_deliver_between(
-        &mut self,
-        a: Point,
-        b: Point,
-        contenders: usize,
-        bytes: usize,
-    ) -> Option<crate::time::SimDuration> {
-        let p = self.delivery_probability(a, b);
-        if !self.rng.chance(p) {
-            return None;
-        }
-        Some(self.channel.latency(contenders, bytes, &mut self.rng))
-    }
-
-    /// [`Scenario::try_deliver_between`] with instrumentation: emits
-    /// `sim` events `radio.tx` plus `radio.rx`/`radio.drop` through the
-    /// probe, mirroring [`Channel::try_deliver_probed`]. The RNG stream is
-    /// identical to the unprobed path.
-    pub fn try_deliver_between_probed(
         &mut self,
         at: SimTime,
         a: Point,
         b: Point,
         contenders: usize,
         bytes: usize,
-        probe: Option<&mut dyn Probe>,
-    ) -> Option<crate::time::SimDuration> {
-        let outcome = self.try_deliver_between(a, b, contenders, bytes);
-        if let Some(probe) = probe {
-            probe.emit(
-                at,
-                "sim",
-                "radio.tx",
-                &[("bytes", bytes.into()), ("contenders", contenders.into())],
-            );
-            match outcome {
-                Some(latency) => {
-                    probe.emit(at, "sim", "radio.rx", &[("latency_us", latency.as_micros().into())])
-                }
-                None => probe.emit(at, "sim", "radio.drop", &[("dist_m", a.distance(b).into())]),
-            }
+        rec: Option<&mut Recorder>,
+    ) -> Option<SimDuration> {
+        let p = self.delivery_probability(a, b);
+        let outcome =
+            self.rng.chance(p).then(|| self.channel.latency(contenders, bytes, &mut self.rng));
+        if let Some(rec) = rec {
+            record_delivery(rec, at, bytes, contenders, outcome, a.distance(b));
         }
         outcome
     }
@@ -353,7 +326,7 @@ impl Scenario {
         let mut prev: Vec<BTreeSet<u32>> = table.len_iter().collect();
         let mut changes = 0usize;
         for _ in 0..ticks {
-            self.tick();
+            self.tick(SimTime::ZERO, None);
             self.neighbor_table_into(&mut table, &mut grid);
             for (i, set) in table.len_iter().enumerate() {
                 changes += set.symmetric_difference(&prev[i]).count();
@@ -466,13 +439,12 @@ mod tests {
         let mut street_ok = 0;
         let mut block_ok = 0;
         for _ in 0..300 {
-            if s.try_deliver_between(Point::new(0.0, 0.0), Point::new(150.0, 0.0), 2, 128).is_some()
-            {
+            let street = (Point::new(0.0, 0.0), Point::new(150.0, 0.0));
+            if s.try_deliver_between(SimTime::ZERO, street.0, street.1, 2, 128, None).is_some() {
                 street_ok += 1;
             }
-            if s.try_deliver_between(Point::new(50.0, 50.0), Point::new(160.0, 160.0), 2, 128)
-                .is_some()
-            {
+            let block = (Point::new(50.0, 50.0), Point::new(160.0, 160.0));
+            if s.try_deliver_between(SimTime::ZERO, block.0, block.1, 2, 128, None).is_some() {
                 block_ok += 1;
             }
         }
@@ -481,48 +453,30 @@ mod tests {
     }
 
     #[test]
-    fn probed_paths_preserve_world_evolution() {
-        use crate::probe::{Probe, Value};
-
-        struct Count(usize);
-        impl Probe for Count {
-            fn emit(
-                &mut self,
-                _at: SimTime,
-                _component: &'static str,
-                _kind: &'static str,
-                _fields: &[(&'static str, Value)],
-            ) {
-                self.0 += 1;
-            }
-        }
-
+    fn recorded_paths_preserve_world_evolution() {
         let make = || {
             let mut b = ScenarioBuilder::new();
             b.seed(12).vehicles(15);
             b.urban_with_rsus()
         };
         let mut plain = make();
-        let mut probed = make();
-        let mut probe = Count(0);
+        let mut traced = make();
+        let mut rec = Recorder::new();
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(80.0, 0.0));
         for i in 0..20 {
-            plain.tick();
             let at = SimTime::from_millis(i * 500);
-            probed.tick_probed(at, Some(&mut probe));
-            let p = plain.try_deliver_between(Point::new(0.0, 0.0), Point::new(80.0, 0.0), 1, 64);
-            let q = probed.try_deliver_between_probed(
-                at,
-                Point::new(0.0, 0.0),
-                Point::new(80.0, 0.0),
-                1,
-                64,
-                Some(&mut probe),
-            );
+            plain.tick(at, None);
+            traced.tick(at, Some(&mut rec));
+            let p = plain.try_deliver_between(at, a, b, 1, 64, None);
+            let q = traced.try_deliver_between(at, a, b, 1, 64, Some(&mut rec));
             assert_eq!(p, q, "tick {i}");
         }
-        assert_eq!(plain.fleet.positions(), probed.fleet.positions());
+        assert_eq!(plain.fleet.positions(), traced.fleet.positions());
+        assert_eq!(plain.rng.next_u64(), traced.rng.next_u64(), "RNG streams diverged");
         // 20 ticks + 20 tx + 20 rx/drop events.
-        assert_eq!(probe.0, 60);
+        assert_eq!(rec.len(), 60);
+        assert_eq!(rec.hub().counter("sim.tick"), 20);
+        assert_eq!(rec.hub().counter("sim.radio.tx"), 20);
     }
 
     #[test]

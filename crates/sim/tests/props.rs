@@ -2,7 +2,6 @@
 
 use vc_sim::event::EventQueue;
 use vc_sim::geom::{Point, Rect, Segment, SpatialGrid};
-use vc_sim::metrics::Summary;
 use vc_sim::mobility::Fleet;
 use vc_sim::rng::SimRng;
 use vc_sim::roadnet::{NodeId, RoadNetwork};
@@ -194,22 +193,6 @@ prop! {
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
-    // ---- metrics ----
-
-    #[test]
-    fn summary_percentiles_are_monotone(xs in vec(-1e6f64..1e6, 1..100)) {
-        let mut s = Summary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        let p25 = s.percentile(0.25);
-        let p50 = s.percentile(0.5);
-        let p99 = s.percentile(0.99);
-        prop_assert!(p25 <= p50 && p50 <= p99);
-        prop_assert!(s.min() <= p25 && p99 <= s.max());
-        prop_assert!(s.mean() >= s.min() - 1e-9 && s.mean() <= s.max() + 1e-9);
     }
 
     // ---- sharded mobility determinism ----

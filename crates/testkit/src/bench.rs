@@ -22,16 +22,16 @@
 //! `VC_BENCH_QUICK=1` and `VC_BENCH_OUT=DIR` are the env equivalents.
 //! Unknown flags (e.g. the `--bench` cargo appends) are ignored.
 
-use crate::json::Json;
 use std::sync::OnceLock;
 use std::time::Instant;
+use vc_obs::json::Json;
 
 pub use std::hint::black_box;
 
 /// Optional allocation probe: returns the current thread's cumulative
 /// `(allocations, bytes allocated)`. Bench binaries that install a
-/// counting allocator register one (see `vc_obs::mem::register_bench_probe`)
-/// and every benchmark then reports allocs/iter and alloc bytes/iter in
+/// counting allocator register one with
+/// `set_alloc_probe(vc_obs::mem::thread_counters)`, and every benchmark then reports allocs/iter and alloc bytes/iter in
 /// its `BENCH_*.json` entry. Without a probe those columns are simply
 /// absent and artifacts keep their prior shape.
 static ALLOC_PROBE: OnceLock<fn() -> (u64, u64)> = OnceLock::new();
@@ -346,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn result_json_carries_alloc_columns_when_probed() {
+    fn result_json_carries_alloc_columns_with_a_probe() {
         let r = BenchResult {
             name: "x".into(),
             median_ns: 1000.0,

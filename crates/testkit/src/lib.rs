@@ -4,8 +4,8 @@
 //! dependability story of the reproduction (deterministic behaviour under
 //! adversarial conditions) is only credible when the measurement harness
 //! itself is reproducible, and a harness that depends on registry crates and
-//! network availability is neither. `vc-testkit` therefore replaces the three
-//! external tools the workspace used to lean on:
+//! network availability is neither. `vc-testkit` therefore replaces two of
+//! the external tools the workspace used to lean on:
 //!
 //! - [`prop`] — a seeded property-testing harness (replaces `proptest`).
 //!   Cases are generated from the simulator's own deterministic
@@ -14,8 +14,10 @@
 //! - [`bench`] — a micro-benchmark harness (replaces `criterion`): warmup,
 //!   fixed iteration batches, median/p95 wall-clock, and a `BENCH_*.json`
 //!   artifact per suite.
-//! - [`json`] — a small hand-rolled JSON writer (replaces `serde_json`) used
-//!   by the bench harness and the experiment table generator.
+//!
+//! The third, a small hand-rolled JSON writer (replaces `serde_json`), is
+//! `vc_obs::json`: it lives in the workspace's bottom crate so every layer
+//! can write artifacts.
 //!
 //! See `docs/TESTKIT.md` at the repository root for a usage tour.
 
@@ -26,5 +28,4 @@
 #![allow(clippy::test_attr_in_doctest)]
 
 pub mod bench;
-pub mod json;
 pub mod prop;

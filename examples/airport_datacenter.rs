@@ -41,7 +41,7 @@ fn main() {
 
     // Batch analytics job: 200 tasks of 800 GFLOP.
     cloud.submit_batch(200, 800.0, None);
-    cloud.run_ticks(600);
+    cloud.run_ticks(600, None);
     let stats = cloud.scheduler().stats();
     println!(
         "batch job: {}/200 tasks done, mean turnaround {:.1}s, utilization {:.1}%, zero handovers ({} observed)",

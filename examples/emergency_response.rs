@@ -9,7 +9,7 @@
 //! ```
 
 use vcloud::cloud::prelude::*;
-use vcloud::prelude::{Cellular, ScenarioBuilder, SimRng, VehicleId};
+use vcloud::prelude::{Cellular, ScenarioBuilder, SimRng, SimTime, VehicleId};
 
 fn main() {
     println!("== emergency response scenario ==\n");
@@ -24,7 +24,7 @@ fn main() {
         Kinematic,
     );
     infra.submit_batch(20, 300.0, None);
-    infra.run_ticks(200);
+    infra.run_ticks(200, None);
     println!(
         "phase 1 (normal): infrastructure cloud completed {}/20 tasks with {} members",
         infra.scheduler().stats().completed,
@@ -36,7 +36,7 @@ fn main() {
     infra.scenario.rsus.fail_fraction(1.0, &mut rng);
     infra.scenario.cellular = Cellular::unavailable();
     infra.submit_batch(20, 300.0, None);
-    infra.run_ticks(300);
+    infra.run_ticks(300, None);
     let after = infra.scheduler().stats().completed;
     println!(
         "phase 2 (disaster): infrastructure cloud has {} members; total completed stuck at {}",
@@ -57,7 +57,7 @@ fn main() {
         Kinematic,
     );
     dynamic.submit_batch(20, 300.0, None);
-    dynamic.run_ticks(300);
+    dynamic.run_ticks(300, None);
     println!(
         "phase 3 (dynamic v-cloud): {} members self-organized, completed {}/20 tasks with {} handovers",
         dynamic.membership().members.len(),
@@ -77,10 +77,19 @@ fn main() {
     let channel = scenario.channel.clone();
     let mut rounds = 0;
     while modes.coverage(OperatingMode::Emergency) < 0.95 && rounds < 200 {
-        scenario.tick();
+        scenario.tick(SimTime::ZERO, None);
         let table = scenario.neighbor_table();
         let positions = scenario.fleet.positions();
-        modes.gossip_round(&table, positions, &channel, &mut scenario.rng);
+        let emergency = OperatingMode::Emergency;
+        modes.gossip_round(
+            &table,
+            positions,
+            &channel,
+            &mut scenario.rng,
+            emergency,
+            SimTime::ZERO,
+            None,
+        );
         rounds += 1;
     }
     println!(

@@ -25,7 +25,7 @@ fn main() {
         SchedulerConfig::default(),
         Kinematic,
     );
-    cloud.run_ticks(10);
+    cloud.run_ticks(10, None);
     let membership = cloud.membership();
     println!(
         "dynamic v-cloud formed: {} members, broker {:?}",
@@ -36,7 +36,7 @@ fn main() {
     // 2. Submit a compute job and let the cloud work.
     let tasks = cloud.submit_batch(12, 400.0, None);
     println!("submitted {} tasks of 400 GFLOP each", tasks.len());
-    cloud.run_ticks(400);
+    cloud.run_ticks(400, None);
     let stats = cloud.scheduler().stats();
     println!(
         "completed {}/{} tasks, mean turnaround {:.1}s, {} handovers, {:.1} MB moved\n",

@@ -36,7 +36,7 @@
 //!     Kinematic,
 //! );
 //! cloud.submit_batch(5, 50.0, None);
-//! cloud.run_ticks(200);
+//! cloud.run_ticks(200, None);
 //! assert!(cloud.scheduler().stats().completed > 0);
 //! ```
 //!

@@ -2,7 +2,9 @@
 //! lifecycle, failover, replication under churn, emergency switching.
 
 use vcloud::cloud::prelude::*;
-use vcloud::prelude::{Cellular, OperatingMode as Mode, ScenarioBuilder, SimRng, VehicleId};
+use vcloud::prelude::{
+    Cellular, OperatingMode as Mode, ScenarioBuilder, SimRng, SimTime, VehicleId,
+};
 
 fn builder(seed: u64, n: usize) -> ScenarioBuilder {
     let mut b = ScenarioBuilder::new();
@@ -19,7 +21,7 @@ fn all_three_architectures_complete_work() {
     ] {
         let mut sim = CloudSim::new(scenario, kind, SchedulerConfig::default(), Kinematic);
         sim.submit_batch(8, 100.0, None);
-        sim.run_ticks(400);
+        sim.run_ticks(400, None);
         assert!(
             sim.scheduler().stats().completed >= 6,
             "{kind} completed only {}",
@@ -42,7 +44,7 @@ fn infrastructure_failover_to_dynamic() {
     infra.scenario.rsus.fail_fraction(1.0, &mut rng);
     infra.scenario.cellular = Cellular::unavailable();
     infra.submit_batch(10, 100.0, None);
-    infra.run_ticks(300);
+    infra.run_ticks(300, None);
     assert_eq!(infra.scheduler().stats().completed, 0, "no members without RSUs");
     assert!(infra.membership().members.is_empty());
 
@@ -53,7 +55,7 @@ fn infrastructure_failover_to_dynamic() {
         Kinematic,
     );
     dynamic.submit_batch(10, 100.0, None);
-    dynamic.run_ticks(300);
+    dynamic.run_ticks(300, None);
     assert!(
         dynamic.scheduler().stats().completed >= 8,
         "dynamic completed only {}",
@@ -68,7 +70,7 @@ fn broker_is_reelected_as_fleet_moves() {
         CloudSim::new(scenario, ArchitectureKind::Dynamic, SchedulerConfig::default(), Kinematic);
     let mut brokers = std::collections::BTreeSet::new();
     for _ in 0..40 {
-        sim.run_ticks(10);
+        sim.run_ticks(10, None);
         if let Some(b) = sim.membership().broker {
             brokers.insert(b);
         }
@@ -93,7 +95,7 @@ fn stationary_cloud_is_deterministic_and_stable() {
             Kinematic,
         );
         sim.submit_batch(10, 200.0, None);
-        sim.run_ticks(200);
+        sim.run_ticks(200, None);
         (
             sim.scheduler().stats().completed,
             sim.scheduler().stats().handovers,
@@ -144,10 +146,19 @@ fn emergency_gossip_reaches_moving_fleet() {
     let channel = scenario.channel.clone();
     let mut rounds = 0;
     while modes.coverage(Mode::Disaster) < 0.9 && rounds < 300 {
-        scenario.tick();
+        scenario.tick(SimTime::ZERO, None);
         let table = scenario.neighbor_table();
         let positions = scenario.fleet.positions();
-        modes.gossip_round(&table, positions, &channel, &mut scenario.rng);
+        let disaster = Mode::Disaster;
+        modes.gossip_round(
+            &table,
+            positions,
+            &channel,
+            &mut scenario.rng,
+            disaster,
+            SimTime::ZERO,
+            None,
+        );
         rounds += 1;
     }
     assert!(

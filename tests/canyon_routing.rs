@@ -63,7 +63,7 @@ fn dynamic_cloud_still_works_in_canyon() {
         Kinematic,
     );
     sim.submit_batch(10, 100.0, None);
-    sim.run_ticks(400);
+    sim.run_ticks(400, None);
     assert!(
         sim.scheduler().stats().completed >= 8,
         "canyon cloud completed only {}",

@@ -115,7 +115,7 @@ fn directory_feeds_scheduler_hosts() {
     let mut now = SimTime::ZERO;
     for _ in 0..5 {
         now += SimDuration::from_secs(1);
-        sched.tick(now, 1.0, &hosts);
+        sched.tick(now, 1.0, &hosts, None);
     }
     assert_eq!(sched.stats().completed, 3);
 }

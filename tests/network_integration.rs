@@ -1,7 +1,7 @@
 //! Integration: routing protocols and clustering over live mobility.
 
 use vcloud::net::prelude::*;
-use vcloud::prelude::{ScenarioBuilder, VehicleId};
+use vcloud::prelude::{ScenarioBuilder, SimTime, VehicleId};
 
 fn builder(seed: u64, n: usize) -> ScenarioBuilder {
     let mut b = ScenarioBuilder::new();
@@ -71,7 +71,7 @@ fn clusters_remain_valid_while_fleet_moves() {
             online: scenario.fleet.online_flags(),
             neighbors: &table,
         };
-        let clustering = form_clusters(&world, &config);
+        let clustering = form_clusters(&world, &config, SimTime::ZERO, None);
         // Invariants hold every round.
         for i in 0..50u32 {
             let head = clustering.head_of(VehicleId(i)).expect("online vehicle clustered");
@@ -104,7 +104,7 @@ fn moving_zones_are_more_stable_than_plain_clusters_on_highway() {
                 online: scenario.fleet.online_flags(),
                 neighbors: &table,
             };
-            let clustering = form_clusters(&world, &cfg);
+            let clustering = form_clusters(&world, &cfg, SimTime::ZERO, None);
             if let Some(prev) = &previous {
                 churn += vcloud::net::cluster::head_churn(prev, &clustering, 60);
             }
