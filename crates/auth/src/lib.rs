@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::hybrid::{HybridCredential, HybridMessage, RegionalIssuer, TaOpening};
     pub use crate::identity::{AuthError, RealIdentity, TrustedAuthority};
     pub use crate::pseudonym::{
-        CrlFront, LinkageSeed, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymRegistry,
+        LinkageSeed, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymRegistry,
         PseudonymWallet,
     };
     pub use crate::replay::{ReplayGuard, ReplayVerdict};

@@ -335,179 +335,6 @@ pub fn verify(
     Ok(())
 }
 
-/// SplitMix64 finalizer — a deterministic, std-only bit mixer used to derive
-/// Bloom-filter probe positions from linkage-seed bytes. Not cryptographic;
-/// the filter is a performance front, never the verdict.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A verifier-side front for the CRL: a Bloom filter plus a sorted seed set
-/// for O(log n) seed membership, and a bounded memo of per-certificate
-/// revocation verdicts so each *distinct* certificate pays the linear
-/// linkage-value scan at most once.
-///
-/// The front is a pure cache: [`verify_with_front`] returns exactly what
-/// [`verify`] returns against `CrlFront::seeds()`. The linkage-value CRL
-/// match is a keyed hash per entry — sorting alone cannot answer "is this
-/// cert revoked?", so the front memoizes scan verdicts keyed by
-/// `(PseudonymId, linkage_value)` instead.
-#[derive(Debug, Clone)]
-pub struct CrlFront {
-    /// Sorted, deduped snapshot of the CRL seeds.
-    seeds: Vec<LinkageSeed>,
-    /// Bloom bit array (power-of-two length, in 64-bit words).
-    bloom: Vec<u64>,
-    /// Bit-index mask (`bloom.len() * 64 - 1`).
-    bloom_mask: u64,
-    /// Memoized per-certificate scan verdicts.
-    memo: BTreeMap<(PseudonymId, [u8; 8]), bool>,
-    /// Memo capacity; the memo is cleared (deterministically) when full.
-    memo_cap: usize,
-}
-
-impl CrlFront {
-    /// Default bound on memoized certificate verdicts (~48 B each).
-    pub const DEFAULT_MEMO_CAP: usize = 4096;
-
-    /// Builds a front over a CRL snapshot. The input need not be sorted;
-    /// the front sorts and dedupes its own copy.
-    pub fn new(crl: &[LinkageSeed]) -> Self {
-        let mut seeds = crl.to_vec();
-        seeds.sort_unstable();
-        seeds.dedup();
-        // ~16 bits per entry, two probes: false-positive rate well under 2%,
-        // and a negative membership probe costs two cache lines at most.
-        let bits = (seeds.len().max(4) * 16).next_power_of_two();
-        let mut bloom = vec![0u64; bits / 64];
-        let bloom_mask = (bits - 1) as u64;
-        for seed in &seeds {
-            for bit in Self::probes(seed, bloom_mask) {
-                bloom[(bit / 64) as usize] |= 1 << (bit % 64);
-            }
-        }
-        CrlFront {
-            seeds,
-            bloom,
-            bloom_mask,
-            memo: BTreeMap::new(),
-            memo_cap: Self::DEFAULT_MEMO_CAP,
-        }
-    }
-
-    fn probes(seed: &LinkageSeed, mask: u64) -> [u64; 2] {
-        let lo = u64::from_be_bytes(seed.0[..8].try_into().expect("8 bytes"));
-        let hi = u64::from_be_bytes(seed.0[8..].try_into().expect("8 bytes"));
-        [splitmix64(lo ^ hi.rotate_left(32)) & mask, splitmix64(hi.wrapping_add(lo)) & mask]
-    }
-
-    /// The sorted, deduped seed snapshot this front answers for.
-    pub fn seeds(&self) -> &[LinkageSeed] {
-        &self.seeds
-    }
-
-    /// Number of distinct revoked seeds.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// True when the CRL snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// Seed membership: Bloom filter rejects most non-members in O(1); a
-    /// binary search confirms the rest. Never wrong in either direction.
-    pub fn contains_seed(&self, seed: &LinkageSeed) -> bool {
-        for bit in Self::probes(seed, self.bloom_mask) {
-            if self.bloom[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        self.seeds.binary_search(seed).is_ok()
-    }
-
-    /// Whether a certificate `(id, linkage_value)` matches any revoked seed.
-    /// First sighting of a certificate pays the full linear scan (same keyed
-    /// hash per entry as [`verify`] step 3); repeats are one BTreeMap lookup.
-    pub fn is_revoked_cert(&mut self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
-        if let Some(&hit) = self.memo.get(&(id, linkage_value)) {
-            return hit;
-        }
-        let hit = self.seeds.iter().any(|seed| seed.linkage_value(id) == linkage_value);
-        if self.memo.len() >= self.memo_cap {
-            // Bounded and deterministic: drop the whole memo rather than
-            // tracking recency. Refill cost is one scan per live cert.
-            self.memo.clear();
-        }
-        self.memo.insert((id, linkage_value), hit);
-        hit
-    }
-
-    /// Number of memoized certificate verdicts (observability hook).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-}
-
-impl vc_obs::MemSize for CrlFront {
-    fn mem_bytes(&self) -> u64 {
-        (self.seeds.capacity() * std::mem::size_of::<LinkageSeed>()
-            + self.bloom.capacity() * 8
-            + self.memo.len() * (std::mem::size_of::<(PseudonymId, [u8; 8])>() + 1)) as u64
-    }
-}
-
-/// [`verify`] with the CRL scan routed through a [`CrlFront`]. Returns
-/// exactly what `verify(message, ta_key, front.seeds(), now, replay_window)`
-/// would: same checks, same order, same error. The only difference is cost —
-/// repeat certificates skip the linear linkage scan.
-///
-/// # Errors
-///
-/// Returns the specific [`AuthError`] that failed.
-pub fn verify_with_front(
-    message: &PseudonymMessage,
-    ta_key: &VerifyingKey,
-    front: &mut CrlFront,
-    now: SimTime,
-    replay_window: vc_sim::time::SimDuration,
-) -> Result<(), AuthError> {
-    // 1. Validity window.
-    if now < message.cert.valid_from || now > message.cert.valid_until {
-        return Err(AuthError::Expired);
-    }
-    // 2. Replay window on the claimed timestamp.
-    if message.sent_at > now || now.saturating_since(message.sent_at) > replay_window {
-        return Err(AuthError::Replayed);
-    }
-    // 3. Memoized CRL verdict (first sighting pays the same linear scan).
-    if front.is_revoked_cert(message.cert.id, message.cert.linkage_value) {
-        return Err(AuthError::Revoked);
-    }
-    // 4. TA signature over the certificate.
-    let body = PseudonymCert::signed_bytes(
-        message.cert.id,
-        &message.cert.key,
-        &message.cert.linkage_value,
-        message.cert.valid_from,
-        message.cert.valid_until,
-    );
-    if !ta_key.verify(&body, &message.cert.ta_signature) {
-        return Err(AuthError::BadCredential);
-    }
-    // 5. Message signature under the pseudonym key.
-    let mut to_check = message.payload.clone();
-    to_check.extend_from_slice(&message.sent_at.as_micros().to_be_bytes());
-    if !message.cert.key.verify(&to_check, &message.signature) {
-        return Err(AuthError::BadSignature);
-    }
-    Ok(())
-}
-
 impl vc_obs::MemSize for PseudonymId {
     fn mem_bytes(&self) -> u64 {
         0
@@ -762,83 +589,6 @@ mod tests {
         let crl = reg.crl();
         assert_eq!(crl.len(), 5, "dedup across injections");
         assert!(crl.windows(2).all(|w| w[0] < w[1]), "sorted order maintained");
-    }
-
-    #[test]
-    fn front_membership_matches_exact_set() {
-        let mut seeds = Vec::new();
-        for i in 0..200u64 {
-            let mut s = [0u8; 16];
-            s[..8].copy_from_slice(&i.to_be_bytes());
-            seeds.push(LinkageSeed(s));
-        }
-        let front = CrlFront::new(&seeds);
-        assert_eq!(front.len(), 200);
-        for seed in &seeds {
-            assert!(front.contains_seed(seed), "no false negatives");
-        }
-        for i in 200..400u64 {
-            let mut s = [0u8; 16];
-            s[..8].copy_from_slice(&i.to_be_bytes());
-            assert!(!front.contains_seed(&LinkageSeed(s)), "binary search confirms");
-        }
-    }
-
-    #[test]
-    fn verify_with_front_matches_verify_all_outcomes() {
-        let (ta, mut reg, wallet) = setup();
-        // A second, revoked vehicle to exercise the Revoked arm.
-        let mut ta2 = TrustedAuthority::new(b"ta");
-        let id2 = RealIdentity::for_vehicle(VehicleId(2));
-        ta2.register(wallet.real_identity().clone(), VehicleId(1));
-        ta2.register(id2.clone(), VehicleId(2));
-        let wallet2 = reg
-            .issue_wallet(&ta2, &id2, 5, SimTime::ZERO, SimTime::from_secs(3600), b"v2-seed")
-            .unwrap();
-        reg.revoke_identity(&id2);
-
-        let now = SimTime::from_secs(10);
-        let good = wallet.sign(b"ok", now);
-        let revoked = wallet2.sign(b"revoked", now);
-        let mut forged_cert = wallet.sign(b"cert", now);
-        forged_cert.cert.valid_until = SimTime::from_secs(999_999);
-        let mut forged_payload = wallet.sign(b"payload", now);
-        forged_payload.payload = b"tampered".to_vec();
-        let expired = wallet.sign(b"late", SimTime::from_secs(4000));
-        let replayed = wallet.sign(b"old", SimTime::from_secs(1));
-
-        let mut front = CrlFront::new(reg.crl());
-        let cases: Vec<(&PseudonymMessage, SimTime)> = vec![
-            (&good, now),
-            (&revoked, now),
-            (&forged_cert, now),
-            (&forged_payload, now),
-            (&expired, SimTime::from_secs(4000)),
-            (&replayed, now),
-        ];
-        for (msg, at) in cases {
-            let slow = verify(msg, &ta.public_key(), front.seeds(), at, window());
-            // Twice: first pass fills the memo, second exercises the hit path.
-            for _ in 0..2 {
-                let fast = verify_with_front(msg, &ta.public_key(), &mut front, at, window());
-                assert_eq!(fast, slow);
-            }
-        }
-        assert!(front.memo_len() > 0, "verdicts were memoized");
-    }
-
-    #[test]
-    fn front_memo_clears_at_capacity_without_changing_verdicts() {
-        let seeds = vec![LinkageSeed([7u8; 16])];
-        let mut front = CrlFront::new(&seeds);
-        front.memo_cap = 4;
-        for i in 0..64u64 {
-            let id = PseudonymId(i);
-            let lv = seeds[0].linkage_value(id);
-            assert!(front.is_revoked_cert(id, lv), "matching linkage value is revoked");
-            assert!(!front.is_revoked_cert(id, [0u8; 8]), "mismatched value is not");
-            assert!(front.memo_len() <= 4, "memo stays bounded");
-        }
     }
 
     #[test]

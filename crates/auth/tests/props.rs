@@ -3,7 +3,7 @@
 use vc_auth::groupsig::{GroupCoordinator, GroupId};
 use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};
 use vc_auth::identity::{AuthError, RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{CrlFront, LinkageSeed, PseudonymRegistry};
+use vc_auth::pseudonym::{LinkageSeed, PseudonymRegistry};
 use vc_auth::replay::{ReplayGuard, ReplayVerdict};
 use vc_crypto::sha256::sha256;
 use vc_sim::node::VehicleId;
@@ -115,51 +115,6 @@ prop! {
                 prop_assert_eq!(verdict, ReplayVerdict::Fresh);
             } else {
                 prop_assert_eq!(verdict, ReplayVerdict::Duplicate);
-            }
-        }
-    }
-
-    // The CRL front is a pure cache: for any CRL size and message mix,
-    // verify_with_front returns exactly what the linear-scan verify does,
-    // on both the cold (scan) and warm (memo) paths.
-    #[test]
-    fn crl_front_equivalent_to_linear_verify(crl_size in 0usize..40, tamper in any_u8()) {
-        let mut ta = TrustedAuthority::new(b"prop-ta");
-        let mut reg = PseudonymRegistry::new();
-        let good = RealIdentity::for_vehicle(VehicleId(1));
-        let bad = RealIdentity::for_vehicle(VehicleId(2));
-        ta.register(good.clone(), VehicleId(1));
-        ta.register(bad.clone(), VehicleId(2));
-        let good_wallet = reg
-            .issue_wallet(&ta, &good, 3, SimTime::ZERO, SimTime::from_secs(10_000), b"g")
-            .unwrap();
-        let bad_wallet = reg
-            .issue_wallet(&ta, &bad, 3, SimTime::ZERO, SimTime::from_secs(10_000), b"b")
-            .unwrap();
-        reg.revoke_identity(&bad);
-        for i in 0..crl_size as u64 {
-            let mut s = [0u8; 16];
-            s[..8].copy_from_slice(&i.to_be_bytes());
-            reg.inject_revoked_seed(LinkageSeed(s));
-        }
-        let now = SimTime::from_secs(50);
-        let window = SimDuration::from_secs(5);
-        let mut messages = vec![good_wallet.sign(b"ok", now), bad_wallet.sign(b"revoked", now)];
-        let mut tampered = good_wallet.sign(b"t", now);
-        if tamper & 1 == 0 {
-            tampered.payload = b"forged".to_vec();
-        } else {
-            tampered.cert.valid_until = SimTime::from_secs(999_999);
-        }
-        messages.push(tampered);
-        let mut front = CrlFront::new(reg.crl());
-        for msg in &messages {
-            let slow = vc_auth::pseudonym::verify(msg, &ta.public_key(), front.seeds(), now, window);
-            for _ in 0..2 {
-                let fast = vc_auth::pseudonym::verify_with_front(
-                    msg, &ta.public_key(), &mut front, now, window,
-                );
-                prop_assert_eq!(fast, slow);
             }
         }
     }

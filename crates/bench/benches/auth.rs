@@ -5,7 +5,7 @@ use vc_auth::groupsig::{GroupCoordinator, GroupId};
 use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};
 use vc_auth::hybrid::{RegionalIssuer, TaOpening};
 use vc_auth::identity::{RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{CrlFront, LinkageSeed, PseudonymRegistry};
+use vc_auth::pseudonym::{LinkageSeed, PseudonymRegistry};
 use vc_auth::token::{ServiceId, TokenGateway};
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
@@ -42,25 +42,6 @@ fn main() {
         }
         suite.bench(&format!("pseudonym/verify_vs_crl/{crl_size}"), || {
             vc_auth::pseudonym::verify(black_box(&msg), &ta.public_key(), reg2.crl(), now, window())
-        });
-        // The CrlFront memoizes the scan verdict per cert: warm verifies pay
-        // a map lookup instead of the linear keyed-hash scan above.
-        let mut front = CrlFront::new(reg2.crl());
-        let _ = vc_auth::pseudonym::verify_with_front(
-            &msg,
-            &ta.public_key(),
-            &mut front,
-            now,
-            window(),
-        );
-        suite.bench(&format!("pseudonym/verify_with_front/{crl_size}"), || {
-            vc_auth::pseudonym::verify_with_front(
-                black_box(&msg),
-                &ta.public_key(),
-                &mut front,
-                now,
-                window(),
-            )
         });
     }
 

@@ -6,6 +6,7 @@ use vc_crypto::dh::EphemeralSecret;
 use vc_crypto::group::{Element, Scalar};
 use vc_crypto::hmac::hmac_sha256;
 use vc_crypto::merkle::MerkleTree;
+use vc_crypto::oracle;
 use vc_crypto::schnorr::SigningKey;
 use vc_crypto::sha256::sha256;
 use vc_crypto::u256::U256;
@@ -46,10 +47,10 @@ fn main() {
     let b_val =
         U256::from_hex("fedcba0987654321fedcba0987654321fedcba0987654321fedcba0987654321").unwrap();
     suite.bench("u256/mul_mod", || black_box(a).mul_mod(black_box(b_val), black_box(p)));
-    suite.bench("u256/pow_mod", || black_box(a).pow_mod(black_box(b_val), black_box(p)));
-    suite.bench("u256/pow_mod_windowed", || {
-        black_box(a).pow_mod_windowed(black_box(b_val), black_box(p))
-    });
+    // Labels keep their history: `u256/pow_mod` times the square-and-multiply
+    // oracle and `u256/pow_mod_windowed` the production `U256::pow_mod`.
+    suite.bench("u256/pow_mod", || oracle::pow_mod(black_box(a), black_box(b_val), black_box(p)));
+    suite.bench("u256/pow_mod_windowed", || black_box(a).pow_mod(black_box(b_val), black_box(p)));
 
     // ---- signatures ----
     let sk = SigningKey::from_seed(b"bench");
@@ -79,7 +80,7 @@ fn main() {
     }
     let e = Scalar::from_u64(0xdeadbeefcafe);
     suite.bench("group/base_pow", || Element::base_pow(black_box(e)));
-    suite.bench("group/base_pow_scalar", || Element::base_pow_scalar(black_box(e)));
+    suite.bench("group/base_pow_scalar", || oracle::base_pow(black_box(e)));
 
     // ---- key agreement ----
     let alice = EphemeralSecret::from_seed(b"alice");

@@ -10,14 +10,15 @@
 //! measures the same win where it lands in the stack — [`vc_net::beacon`]'s
 //! `BeaconStore::ingest_batch`, which also pays the store's freshness and
 //! supersession checks — at the neighbor densities E5's contact-window
-//! clusters produce. The "before" column is the in-tree reference path
-//! (`verify_beacon_scalar`), i.e. exactly what `VC_CRYPTO_SCALAR=1`
-//! degrades the whole stack to.
+//! clusters produce. The "before" column is the square-and-multiply
+//! reference verifier, [`vc_crypto::oracle::verify`], over each beacon's
+//! signed bytes.
 
 use crate::table::{f1, f3, Table};
 use std::time::Instant;
+use vc_crypto::oracle;
 use vc_crypto::schnorr::{SigningKey, VerifyingKey};
-use vc_net::beacon::{sign_beacon, verify_beacon_scalar, Beacon, BeaconStore, SignedBeacon};
+use vc_net::beacon::{sign_beacon, Beacon, BeaconStore, SignedBeacon};
 use vc_sim::geom::Point;
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
@@ -63,7 +64,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         let start = Instant::now();
         for _ in 0..reps {
             for (sb, key) in &window {
-                assert!(verify_beacon_scalar(sb, key));
+                assert!(oracle::verify(key, &sb.beacon.bytes(), &sb.signature));
             }
         }
         let scalar_ms = start.elapsed().as_secs_f64() / reps as f64 * 1e3;

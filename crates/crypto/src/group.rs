@@ -38,16 +38,6 @@ pub fn group() -> &'static GroupParams {
     })
 }
 
-/// `VC_CRYPTO_SCALAR=1` forces the reference square-and-multiply paths for
-/// [`Element::base_pow`] and [`Element::pow`] — the escape hatch the CI
-/// crypto-equivalence spot-check uses to prove the fixed-base table and
-/// windowed exponentiation change no output byte (the `VC_ROADNET_LINEAR`
-/// twin). Read once per process.
-pub fn scalar_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("VC_CRYPTO_SCALAR").map(|v| v == "1").unwrap_or(false))
-}
-
 /// 4-bit fixed-base window width: 64 nibble positions across a 256-bit
 /// exponent, 15 nonzero digits per position.
 const BASEPOW_WINDOWS: usize = 64;
@@ -156,7 +146,7 @@ impl fmt::Debug for Scalar {
 
 /// A group element: a member of the order-`q` subgroup of `Z_p^*`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Element(U256);
+pub struct Element(pub(crate) U256);
 
 impl Element {
     /// The identity element.
@@ -169,12 +159,8 @@ impl Element {
         Element(group().g)
     }
 
-    /// `g^e` — fixed-base exponentiation via the precomputed window table
-    /// (or the square-and-multiply reference under `VC_CRYPTO_SCALAR=1`).
+    /// `g^e` — fixed-base exponentiation via the precomputed window table.
     pub fn base_pow(e: Scalar) -> Element {
-        if scalar_forced() {
-            return Element::base_pow_scalar(e);
-        }
         let params = group();
         let table = basepow_table();
         let limbs = e.0.limbs();
@@ -188,22 +174,9 @@ impl Element {
         Element(acc)
     }
 
-    /// `g^e` by plain square-and-multiply — the reference the property
-    /// suite and experiment E20 compare the table path against.
-    pub fn base_pow_scalar(e: Scalar) -> Element {
-        let params = group();
-        Element(params.g.pow_mod(e.0, params.p))
-    }
-
-    /// `self^e` — windowed exponentiation (or the square-and-multiply
-    /// reference under `VC_CRYPTO_SCALAR=1`).
+    /// `self^e` — windowed exponentiation.
     pub fn pow(&self, e: Scalar) -> Element {
-        let params = group();
-        if scalar_forced() {
-            Element(self.0.pow_mod(e.0, params.p))
-        } else {
-            Element(self.0.pow_mod_windowed(e.0, params.p))
-        }
+        Element(self.0.pow_mod(e.0, group().p))
     }
 
     /// Group operation: `self * rhs mod p`.
@@ -265,8 +238,7 @@ impl fmt::Debug for Element {
 /// multiplies instead of the `k·(~320)` of separate [`Element::pow`] calls
 /// — the amortization that makes batch signature verification worthwhile
 /// (experiments E11/E20). Short exponents (e.g. 128-bit batch weights) pay
-/// only their own nonzero windows. Under `VC_CRYPTO_SCALAR=1` the binary
-/// reference interleaving runs instead.
+/// only their own nonzero windows.
 ///
 /// # Panics
 ///
@@ -275,9 +247,6 @@ pub fn multi_exp(bases: &[Element], exps: &[Scalar]) -> Element {
     assert_eq!(bases.len(), exps.len(), "bases and exponents must pair up");
     if bases.is_empty() {
         return Element::identity();
-    }
-    if scalar_forced() {
-        return multi_exp_binary(bases, exps);
     }
     let params = group();
     let max_bits = exps.iter().map(|e| e.0.bits()).max().unwrap_or(0);
@@ -313,31 +282,10 @@ pub fn multi_exp(bases: &[Element], exps: &[Scalar]) -> Element {
     Element(acc)
 }
 
-/// Binary (bit-at-a-time) Straus interleaving — the reference
-/// [`multi_exp`] dispatches to under `VC_CRYPTO_SCALAR=1` and the oracle
-/// its property tests compare against.
-pub fn multi_exp_binary(bases: &[Element], exps: &[Scalar]) -> Element {
-    assert_eq!(bases.len(), exps.len(), "bases and exponents must pair up");
-    if bases.is_empty() {
-        return Element::identity();
-    }
-    let params = group();
-    let max_bits = exps.iter().map(|e| e.0.bits()).max().unwrap_or(0);
-    let mut acc = U256::ONE;
-    for bit in (0..max_bits).rev() {
-        acc = acc.mul_mod(acc, params.p);
-        for (base, exp) in bases.iter().zip(exps) {
-            if exp.0.bit(bit) {
-                acc = acc.mul_mod(base.0, params.p);
-            }
-        }
-    }
-    Element(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
 
     #[test]
     fn parameters_are_consistent() {
@@ -355,7 +303,7 @@ mod tests {
         // 4^5 mod p = 1024 (generated alongside the parameters).
         let e = Element::base_pow(Scalar::from_u64(5));
         assert_eq!(e.as_u256(), U256::from_u64(1024));
-        assert_eq!(Element::base_pow_scalar(Scalar::from_u64(5)), e);
+        assert_eq!(oracle::base_pow(Scalar::from_u64(5)), e);
     }
 
     #[test]
@@ -372,7 +320,7 @@ mod tests {
             exps.push(Scalar::hash_to_scalar(&[b"basepow", &i.to_be_bytes()]));
         }
         for e in exps {
-            assert_eq!(Element::base_pow(e), Element::base_pow_scalar(e), "exp {e:?}");
+            assert_eq!(Element::base_pow(e), oracle::base_pow(e), "exp {e:?}");
         }
         assert_eq!(Element::base_pow(Scalar::zero()), Element::identity());
     }
@@ -437,6 +385,9 @@ mod tests {
         // A quadratic non-residue is invalid: -1 mod p has order 2, not q.
         let minus_one = group().p.wrapping_sub(U256::ONE);
         assert_eq!(Element::from_bytes(&minus_one.to_be_bytes()), None);
+        // The identity and the generator pass the `v^q == 1` check.
+        assert_eq!(Element::from_bytes(&U256::ONE.to_be_bytes()), Some(Element::identity()));
+        assert_eq!(Element::from_bytes(&group().g.to_be_bytes()), Some(Element::generator()));
     }
 
     #[test]
@@ -454,7 +405,7 @@ mod tests {
         let naive =
             bases.iter().zip(&exps).fold(Element::identity(), |acc, (b, e)| acc.mul(b.pow(*e)));
         assert_eq!(multi_exp(&bases, &exps), naive);
-        assert_eq!(multi_exp_binary(&bases, &exps), naive);
+        assert_eq!(oracle::multi_exp(&bases, &exps), naive);
     }
 
     #[test]
@@ -472,7 +423,7 @@ mod tests {
             Scalar::hash_to_scalar(&[b"full-width", b"b"]),
             Scalar::from_u64(0x8000_0000_0000_0000),
         ];
-        assert_eq!(multi_exp(&bases, &exps), multi_exp_binary(&bases, &exps));
+        assert_eq!(multi_exp(&bases, &exps), oracle::multi_exp(&bases, &exps));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439) plus an
 //!   encrypt-then-MAC `seal`/`open` pair
 //! * [`merkle`] — domain-separated Merkle trees for chunked file integrity
+//! * [`oracle`] — square-and-multiply references for tests and E20
 //!
 //! **Security note:** the discrete-log group is a 256-bit safe prime — far
 //! below production strength for finite-field DLP — chosen so experiments
@@ -20,9 +21,10 @@
 //! speed. A deployment would swap in an elliptic-curve group.
 //!
 //! The exponentiation fast paths (fixed-base window table, k-ary
-//! `pow_mod_windowed`, batch Schnorr verification) are result-identical to
-//! the retained square-and-multiply references; `VC_CRYPTO_SCALAR=1` forces
-//! the reference paths process-wide (see docs/CRYPTO.md).
+//! `U256::pow_mod`, batch Schnorr verification) are the only production
+//! paths. They are result-identical to the square-and-multiply references
+//! in [`oracle`], which only tests and experiment E20 call (see
+//! docs/CRYPTO.md).
 //!
 //! ## Example
 //!
@@ -42,6 +44,7 @@ pub mod group;
 pub mod hex;
 pub mod hmac;
 pub mod merkle;
+pub mod oracle;
 pub mod schnorr;
 pub mod sha256;
 pub mod u256;

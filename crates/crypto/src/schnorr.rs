@@ -87,22 +87,6 @@ impl VerifyingKey {
         lhs == rhs
     }
 
-    /// Verifies `signature` over `message` using only the square-and-multiply
-    /// reference paths ([`Element::base_pow_scalar`] and plain `pow_mod`) —
-    /// the exact work a verifier did before the fixed-base table and windowed
-    /// exponentiation landed. This is the "before" cost basis experiment E20
-    /// measures batch verification against, and what [`verify`](Self::verify)
-    /// degrades to under `VC_CRYPTO_SCALAR=1`. Identical accept/reject
-    /// decisions to `verify` on every input.
-    pub fn verify_scalar(&self, message: &[u8], signature: &Signature) -> bool {
-        let params = crate::group::group();
-        let challenge = challenge_scalar(&signature.commitment, self, message);
-        let lhs = Element::base_pow_scalar(signature.response);
-        let y_to_e = self.point.as_u256().pow_mod(challenge.as_u256(), params.p);
-        let rhs = signature.commitment.as_u256().mul_mod(y_to_e, params.p);
-        lhs.as_u256() == rhs
-    }
-
     /// The public group element.
     pub fn element(&self) -> Element {
         self.point
@@ -255,7 +239,7 @@ impl Sha256Transcript {
     }
 }
 
-fn challenge_scalar(commitment: &Element, key: &VerifyingKey, message: &[u8]) -> Scalar {
+pub(crate) fn challenge_scalar(commitment: &Element, key: &VerifyingKey, message: &[u8]) -> Scalar {
     let digest =
         sha256_parts(&[b"vc-schnorr-challenge", &commitment.to_bytes(), &key.to_bytes(), message]);
     Scalar::hash_to_scalar(&[&digest])
@@ -420,18 +404,6 @@ mod tests {
         // A second culprit joins the list, ascending order.
         items[2].2.response = items[2].2.response.add(Scalar::one());
         assert_eq!(verify_batch(&refs(&items), b"seed"), Err(vec![2, 5]));
-    }
-
-    #[test]
-    fn verify_scalar_agrees_with_verify() {
-        let sk = SigningKey::from_seed(b"scalar-ref");
-        let vk = sk.verifying_key();
-        let sig = sk.sign(b"beacon");
-        assert!(vk.verify_scalar(b"beacon", &sig));
-        assert!(!vk.verify_scalar(b"tampered", &sig));
-        let bumped =
-            Signature { commitment: sig.commitment, response: sig.response.add(Scalar::one()) };
-        assert!(!vk.verify_scalar(b"beacon", &bumped));
     }
 
     #[test]

@@ -290,40 +290,19 @@ impl U256 {
         self.mul_wide(rhs).rem(m)
     }
 
-    /// `self^exp mod m` by square-and-multiply.
+    /// `self^exp mod m` by fixed-window (k-ary, 4-bit) exponentiation.
+    ///
+    /// Result-identical to the square-and-multiply
+    /// [`oracle::pow_mod`](crate::oracle::pow_mod) but processes the exponent
+    /// a nibble at a time: one 15-entry power table up front, then four
+    /// squarings plus at most one multiply per nibble instead of one multiply
+    /// per set bit — ~6 fewer multiplies per 16 exponent bits on random
+    /// exponents.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn pow_mod(&self, exp: U256, m: U256) -> U256 {
-        assert!(!m.is_zero(), "zero modulus");
-        if m == U256::ONE {
-            return U256::ZERO;
-        }
-        let mut base = self.rem(m);
-        let mut result = U256::ONE;
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                result = result.mul_mod(base, m);
-            }
-            base = base.mul_mod(base, m);
-        }
-        result
-    }
-
-    /// `self^exp mod m` by fixed-window (k-ary, 4-bit) exponentiation.
-    ///
-    /// Result-identical to [`U256::pow_mod`] (which is retained as the
-    /// reference oracle for the property suite and the `VC_CRYPTO_SCALAR=1`
-    /// escape hatch) but processes the exponent a nibble at a time: one
-    /// 15-entry power table up front, then four squarings plus at most one
-    /// multiply per nibble instead of one multiply per set bit — ~6 fewer
-    /// multiplies per 16 exponent bits on random exponents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn pow_mod_windowed(&self, exp: U256, m: U256) -> U256 {
         assert!(!m.is_zero(), "zero modulus");
         if m == U256::ONE {
             return U256::ZERO;
@@ -471,6 +450,7 @@ impl fmt::Debug for U512 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
 
     fn u(x: u128) -> U256 {
         U256::from(x)
@@ -624,30 +604,38 @@ mod tests {
     }
 
     #[test]
-    fn pow_mod_windowed_matches_reference() {
+    fn pow_mod_matches_oracle() {
         let p = U256::from_hex("a252363211224274024c034527879257e2663936263f2ec0e8818b63737f276b")
             .unwrap();
+        let q = U256::from_hex("51291b190891213a012601a293c3c92bf1331c9b131f97607440c5b1b9bf93b5")
+            .unwrap();
+        let two = u(2);
+        // Includes the exponents of the two internal callers: the subgroup
+        // check in `Element::from_bytes` (q) and `inv_mod_prime` (p−2, q−2).
         let exps = [
             U256::ZERO,
             U256::ONE,
             u(5),
             u(0x1234567890abcdef),
-            U256::from_hex("51291b190891213a012601a293c3c92bf1331c9b131f97607440c5b1b9bf93b5")
-                .unwrap(),
+            q,
+            p.wrapping_sub(two),
+            q.wrapping_sub(two),
             U256::MAX,
         ];
         for base in [u(2), u(4), u(0xdeadbeef), p.wrapping_sub(U256::ONE)] {
-            for exp in exps {
-                assert_eq!(
-                    base.pow_mod_windowed(exp, p),
-                    base.pow_mod(exp, p),
-                    "base={base} exp={exp}"
-                );
+            for m in [p, q] {
+                for exp in exps {
+                    assert_eq!(
+                        base.pow_mod(exp, m),
+                        oracle::pow_mod(base, exp, m),
+                        "base={base} exp={exp} m={m}"
+                    );
+                }
             }
         }
         // Small-modulus corners.
-        assert_eq!(u(3).pow_mod_windowed(u(4), U256::ONE), U256::ZERO, "mod 1 is zero");
-        assert_eq!(u(2).pow_mod_windowed(u(10), u(1_000_000_007)), u(1024));
+        assert_eq!(u(3).pow_mod(u(4), U256::ONE), U256::ZERO, "mod 1 is zero");
+        assert_eq!(u(2).pow_mod(u(10), u(1_000_000_007)), u(1024));
     }
 
     #[test]

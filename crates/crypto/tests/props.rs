@@ -5,6 +5,7 @@ use vc_crypto::group::{Element, Scalar};
 use vc_crypto::hex;
 use vc_crypto::hmac::{hkdf_expand, hkdf_extract, hmac_sha256};
 use vc_crypto::merkle::MerkleTree;
+use vc_crypto::oracle;
 use vc_crypto::schnorr::{Signature, SigningKey};
 use vc_crypto::sha256::sha256;
 use vc_crypto::u256::U256;
@@ -75,20 +76,20 @@ prop! {
     // ---- windowed exponentiation vs the square-and-multiply oracle ----
 
     #[test]
-    fn pow_mod_windowed_matches_reference(base in any_words::<4>(), exp in any_words::<4>()) {
+    fn pow_mod_matches_oracle(base in any_words::<4>(), exp in any_words::<4>()) {
         let p = vc_crypto::group::group().p;
         let b = U256::from_limbs(base);
         let e = U256::from_limbs(exp);
-        prop_assert_eq!(b.pow_mod_windowed(e, p), b.pow_mod(e, p));
+        prop_assert_eq!(b.pow_mod(e, p), oracle::pow_mod(b, e, p));
         // Also against a small modulus where the u128 oracle reaches.
         let m = U256::from(1_000_000_007u128);
-        prop_assert_eq!(b.pow_mod_windowed(e, m), b.pow_mod(e, m));
+        prop_assert_eq!(b.pow_mod(e, m), oracle::pow_mod(b, e, m));
     }
 
     #[test]
     fn base_pow_table_matches_reference(seed in any_bytes::<16>()) {
         let e = Scalar::hash_to_scalar(&[b"prop-basepow", &seed]);
-        prop_assert_eq!(Element::base_pow(e), Element::base_pow_scalar(e));
+        prop_assert_eq!(Element::base_pow(e), oracle::base_pow(e));
     }
 
     #[test]
@@ -104,7 +105,7 @@ prop! {
         exps[0] = Scalar::from_u64(short);
         prop_assert_eq!(
             vc_crypto::group::multi_exp(&bases, &exps),
-            vc_crypto::group::multi_exp_binary(&bases, &exps)
+            oracle::multi_exp(&bases, &exps)
         );
     }
 
@@ -189,13 +190,13 @@ prop! {
         let sig = sk.sign(&msg);
         prop_assert!(sk.verifying_key().verify(&msg, &sig));
         // The square-and-multiply reference path decides identically.
-        prop_assert!(sk.verifying_key().verify_scalar(&msg, &sig));
+        prop_assert!(oracle::verify(&sk.verifying_key(), &msg, &sig));
         let mut bytes = sig.to_bytes();
         // Flip a bit in the response half (commitment flips may fail to parse).
         bytes[32 + (flip as usize % 32)] ^= 1;
         if let Some(bad) = Signature::from_bytes(&bytes) {
             prop_assert!(!sk.verifying_key().verify(&msg, &bad));
-            prop_assert!(!sk.verifying_key().verify_scalar(&msg, &bad));
+            prop_assert!(!oracle::verify(&sk.verifying_key(), &msg, &bad));
         }
     }
 

@@ -32,7 +32,8 @@ pub struct Beacon {
 }
 
 impl Beacon {
-    fn bytes(&self) -> Vec<u8> {
+    /// The signed encoding: sender, position, velocity and send time, big-endian.
+    pub fn bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 32 + 8);
         out.extend_from_slice(&self.sender.0.to_be_bytes());
         out.extend_from_slice(&self.pos.x.to_be_bytes());
@@ -67,15 +68,6 @@ pub fn sign_beacon(beacon: Beacon, key: &SigningKey) -> SignedBeacon {
 /// Verifies a beacon's signature (freshness is the store's job).
 pub fn verify_beacon(signed: &SignedBeacon, key: &VerifyingKey) -> bool {
     key.verify(&signed.beacon.bytes(), &signed.signature)
-}
-
-/// Verifies a beacon's signature via the square-and-multiply reference
-/// path ([`VerifyingKey::verify_scalar`]) — what every verifier paid before
-/// the fixed-base table and windowed exponentiation landed. Experiment E20
-/// reports this as its "before" cost basis; accept/reject decisions are
-/// identical to [`verify_beacon`].
-pub fn verify_beacon_scalar(signed: &SignedBeacon, key: &VerifyingKey) -> bool {
-    key.verify_scalar(&signed.beacon.bytes(), &signed.signature)
 }
 
 /// Why a beacon was rejected by the store.
@@ -233,11 +225,14 @@ mod tests {
     fn scalar_reference_verify_agrees() {
         let k = key(1);
         let sb = sign_beacon(beacon(1, 10), &k);
-        assert!(verify_beacon_scalar(&sb, &k.verifying_key()));
-        assert!(!verify_beacon_scalar(&sb, &key(2).verifying_key()));
+        let oracle = |sb: &SignedBeacon, key: &VerifyingKey| {
+            vc_crypto::oracle::verify(key, &sb.beacon.bytes(), &sb.signature)
+        };
+        assert!(oracle(&sb, &k.verifying_key()));
+        assert!(!oracle(&sb, &key(2).verifying_key()));
         let mut forged = sb.clone();
         forged.beacon.pos = Point::new(999.0, 999.0);
-        assert!(!verify_beacon_scalar(&forged, &k.verifying_key()));
+        assert!(!oracle(&forged, &k.verifying_key()));
     }
 
     #[test]

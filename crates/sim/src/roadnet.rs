@@ -11,15 +11,6 @@ use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 use vc_obs::MemSize;
 
-/// `VC_ROADNET_LINEAR=1` forces the linear-scan reference paths for
-/// [`RoadNetwork::nearest_node`] / [`RoadNetwork::distance_to_nearest_road`]
-/// — the escape hatch the CI determinism spot-check uses to prove the
-/// spatial index changes no output byte. Read once per process.
-fn linear_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("VC_ROADNET_LINEAR").map(|v| v == "1").unwrap_or(false))
-}
-
 /// Identifier of an intersection in a [`RoadNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
@@ -158,15 +149,11 @@ impl RoadNetwork {
         if self.intersections.is_empty() {
             return None;
         }
-        if linear_forced() {
-            return self.nearest_node_linear(p);
-        }
         self.nearest_node_indexed(p)
     }
 
     /// Linear-scan reference for [`Self::nearest_node`]. Kept as the
-    /// equivalence oracle for property tests and the `VC_ROADNET_LINEAR`
-    /// escape hatch.
+    /// equivalence oracle for the tests and the geometry benches.
     pub fn nearest_node_linear(&self, p: Point) -> Option<NodeId> {
         self.intersections
             .iter()
@@ -379,14 +366,11 @@ impl RoadNetwork {
         if self.roads.is_empty() {
             return f64::INFINITY;
         }
-        if linear_forced() {
-            return self.distance_to_nearest_road_linear(p);
-        }
         self.nearest_road_dist_indexed(p)
     }
 
     /// Linear-scan reference for [`Self::distance_to_nearest_road`]. Kept as
-    /// the equivalence oracle for property tests and `VC_ROADNET_LINEAR`.
+    /// the equivalence oracle for the tests and the geometry benches.
     pub fn distance_to_nearest_road_linear(&self, p: Point) -> f64 {
         self.roads
             .iter()
@@ -667,6 +651,14 @@ mod tests {
 
     #[test]
     fn index_matches_linear_on_grid() {
+        fn assert_matches(net: &RoadNetwork, probes: &[Point]) {
+            for &p in probes {
+                assert_eq!(net.nearest_node(p), net.nearest_node_linear(p), "node @ {p:?}");
+                let fast = net.distance_to_nearest_road(p);
+                let slow = net.distance_to_nearest_road_linear(p);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "road dist @ {p:?}");
+            }
+        }
         let net = RoadNetwork::grid(6, 6, 100.0, 13.9);
         let mut rng = SimRng::seed_from(11);
         let mut probes: Vec<Point> = (0..200)
@@ -678,12 +670,28 @@ mod tests {
         probes.push(net.pos(NodeId(35)));
         probes.push(Point::new(250.0, 250.0));
         probes.push(Point::new(1e6, -1e6));
-        for p in probes {
-            assert_eq!(net.nearest_node(p), net.nearest_node_linear(p), "node @ {p:?}");
-            let fast = net.distance_to_nearest_road(p);
-            let slow = net.distance_to_nearest_road_linear(p);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "road dist @ {p:?}");
+        assert_matches(&net, &probes);
+
+        // The urban-canyon map (E14), probed on a lattice at the canyon's
+        // street-half-width spacing over its bounding box: the points where
+        // the obstruction test asks for the nearest road.
+        let canyon = crate::scenario::ScenarioBuilder::new().vehicles(1).urban_canyon();
+        let net = canyon.roadnet;
+        let step = canyon.canyon.expect("canyon model").street_half_width;
+        let (mut lo, mut hi) = (Point::new(f64::MAX, f64::MAX), Point::new(f64::MIN, f64::MIN));
+        for i in &net.intersections {
+            lo = Point::new(lo.x.min(i.pos.x), lo.y.min(i.pos.y));
+            hi = Point::new(hi.x.max(i.pos.x), hi.y.max(i.pos.y));
         }
+        let nx = ((hi.x - lo.x) / step).floor() as usize;
+        let ny = ((hi.y - lo.y) / step).floor() as usize;
+        let lattice: Vec<Point> = (0..=nx)
+            .flat_map(|ix| {
+                (0..=ny).map(move |iy| Point::new(lo.x + ix as f64 * step, lo.y + iy as f64 * step))
+            })
+            .collect();
+        assert!(lattice.len() > 1000, "lattice covers the map");
+        assert_matches(&net, &lattice);
     }
 
     #[test]

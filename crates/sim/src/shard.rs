@@ -10,7 +10,7 @@
 //! determinism matrix compares `VC_SHARDS=1/2/8` byte-for-byte.
 //!
 //! `VC_SHARDS=N` overrides the default (available parallelism); `VC_SHARDS=1`
-//! is the sequential escape hatch mirroring `VC_ROADNET_LINEAR`.
+//! is the sequential escape hatch.
 //!
 //! [`SimRng::stream`]: crate::rng::SimRng::stream
 

@@ -105,10 +105,20 @@ pub fn path_overlap(a: &Report, b: &Report) -> f64 {
         // Both direct receptions: treat as independent.
         return 0.0;
     }
-    let sa: std::collections::BTreeSet<_> = a.path.iter().collect();
-    let sb: std::collections::BTreeSet<_> = b.path.iter().collect();
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
+    // Set semantics without building sets: a path may repeat an id, so each
+    // id counts at its first occurrence only. Paths are a few hops long, so
+    // the quadratic scans beat allocating (this runs for every report pair).
+    fn firsts(path: &[VehicleId]) -> impl Iterator<Item = VehicleId> + '_ {
+        path.iter().enumerate().filter(|&(i, id)| !path[..i].contains(id)).map(|(_, id)| *id)
+    }
+    let (mut inter, mut distinct_a) = (0usize, 0usize);
+    for id in firsts(&a.path) {
+        distinct_a += 1;
+        if b.path.contains(&id) {
+            inter += 1;
+        }
+    }
+    let union = distinct_a + firsts(&b.path).count() - inter;
     if union == 0 {
         0.0
     } else {
@@ -172,6 +182,11 @@ mod tests {
         assert_eq!(path_overlap(&a, &b), 1.0);
         assert_eq!(path_overlap(&a, &c), 0.0);
         assert!((path_overlap(&a, &d) - 0.25).abs() < 1e-12, "1 shared of 4 total");
+        // Set semantics: repeated relays count once on each side.
+        let e = report(7, true, Point::new(0.0, 0.0), vec![1, 1, 2]);
+        let f = report(8, true, Point::new(0.0, 0.0), vec![2, 2, 3, 2]);
+        assert_eq!(path_overlap(&e, &f), 1.0 / 3.0);
+        assert_eq!(path_overlap(&e, &a), 2.0 / 3.0);
         let direct1 = report(5, true, Point::new(0.0, 0.0), vec![]);
         let direct2 = report(6, true, Point::new(0.0, 0.0), vec![]);
         assert_eq!(path_overlap(&direct1, &direct2), 0.0);

@@ -78,12 +78,12 @@ impl Validator for WeightedVote {
         }
         let mut total = 0.0;
         let mut positive = 0.0;
-        let mut counted: Vec<&Report> = Vec::new();
-        for report in &cluster.reports {
+        for (i, report) in cluster.reports.iter().enumerate() {
             // Path independence: discount a report by its maximum overlap
             // with reports already counted — k colluding copies through the
             // same relay chain weigh barely more than one.
-            let max_overlap = counted.iter().map(|c| path_overlap(report, c)).fold(0.0, f64::max);
+            let max_overlap =
+                cluster.reports[..i].iter().map(|c| path_overlap(report, c)).fold(0.0, f64::max);
             let independence = 1.0 - max_overlap;
             let weight =
                 reputation.reliability(report.reporter) * independence * plausibility(report);
@@ -91,7 +91,6 @@ impl Validator for WeightedVote {
             if report.claim {
                 positive += weight;
             }
-            counted.push(report);
         }
         if total == 0.0 {
             0.5
