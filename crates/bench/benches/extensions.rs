@@ -1,6 +1,5 @@
 //! Micro-benches for the extension modules: batch verification,
-//! the V2V handshake, delegation chains, checkpoint sealing, credit notes,
-//! and wire encoding.
+//! the V2V handshake, delegation chains, checkpoint sealing and credit notes.
 
 use vc_access::delegation::{grant, verify_chain, DelegationChain};
 use vc_access::policy::Action;
@@ -108,26 +107,6 @@ fn main() {
     suite.bench("credit/validate_1_endorsement", || {
         bank.validate(black_box(&moved)).expect("valid")
     });
-
-    // ---- wire encoding ----
-    {
-        use vc_net::beacon::{sign_beacon, Beacon};
-        use vc_net::wire::{decode_beacon, encode_beacon};
-        use vc_sim::geom::Point;
-        let key = SigningKey::from_seed(b"wire-bench");
-        let sb = sign_beacon(
-            Beacon {
-                sender: VehicleId(1),
-                pos: Point::new(1.0, 2.0),
-                vel: Point::new(30.0, 0.0),
-                sent_at: SimTime::from_secs(1),
-            },
-            &key,
-        );
-        suite.bench("wire/encode_beacon", || encode_beacon(black_box(&sb)));
-        let frame = encode_beacon(&sb);
-        suite.bench("wire/decode_beacon", || decode_beacon(black_box(&frame)).expect("decodes"));
-    }
 
     suite.finish();
 }

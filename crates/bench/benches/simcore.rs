@@ -1,11 +1,9 @@
-//! Micro-benches for the simulation kernel: event throughput, mobility
-//! stepping, RNG draws.
+//! Micro-benches for the simulation substrate: mobility stepping, road-graph
+//! routing, RNG draws.
 
-use vc_sim::event::EventQueue;
 use vc_sim::mobility::Fleet;
 use vc_sim::rng::SimRng;
 use vc_sim::roadnet::RoadNetwork;
-use vc_sim::time::SimTime;
 use vc_testkit::bench::{black_box, Suite};
 
 // Count every heap allocation so Suite results carry allocs/iter and
@@ -15,22 +13,6 @@ vc_obs::counting_allocator!();
 fn main() {
     vc_testkit::bench::set_alloc_probe(vc_obs::mem::thread_counters);
     let mut suite = Suite::new("simcore");
-
-    // ---- event queue schedule+pop ----
-    for n in [1_000usize, 10_000] {
-        suite.bench_elems(&format!("event_queue/schedule_pop/{n}"), n as u64, || {
-            let mut q = EventQueue::new();
-            let mut rng = SimRng::seed_from(1);
-            for i in 0..n {
-                q.schedule(SimTime::from_micros(rng.range_u64(0, 1_000_000)), i);
-            }
-            let mut count = 0;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            black_box(count)
-        });
-    }
 
     // ---- mobility stepping ----
     for n in [50usize, 400] {

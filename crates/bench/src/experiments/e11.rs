@@ -1,5 +1,5 @@
 //! E11 — batch signature verification for time-critical networks
-//! (extension; paper §IV-D citations [21] "batch verification" and [44]
+//! (extension; paper §IV-D citations \[21\] "batch verification" and \[44\]
 //! "real-time digital signatures").
 //!
 //! Dense traffic means hundreds of signed beacons per second per receiver;

@@ -3,7 +3,7 @@
 //! verification, the pre-fast-path stack) vs after (one
 //! random-linear-combination batch per reception window), with the
 //! intermediate windowed-but-sequential column for attribution
-//! (extension; paper §IV-D citations [21] "batch verification" and [44]
+//! (extension; paper §IV-D citations \[21\] "batch verification" and \[44\]
 //! "real-time digital signatures").
 //!
 //! E11 measured raw `batch_verify` on bare signatures; this experiment

@@ -36,11 +36,9 @@
 #![forbid(unsafe_code)]
 
 pub mod arch;
-pub mod directory;
 pub mod emergency;
 pub mod handover;
 pub mod incentive;
-pub mod jobs;
 pub mod offload;
 pub mod pipeline;
 pub mod replication;
@@ -52,13 +50,11 @@ pub mod verify;
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::arch::{hosts_of, membership, ArchitectureKind, CloudSim, Membership};
-    pub use crate::directory::{Requirement, Reservation, ResourceDirectory};
     pub use crate::emergency::{ModeManager, OperatingMode};
     pub use crate::handover::{open_checkpoint, seal_checkpoint, Checkpoint, SealedCheckpoint};
     pub use crate::incentive::{
         transfer as credit_transfer, CreditBank, CreditError, CreditNote, Endorsement,
     };
-    pub use crate::jobs::{Aggregation, Job, JobError, JobId, JobManager, JobResult};
     pub use crate::offload::{
         decide as offload_decide, expected_latency, OffloadContext, OffloadTarget, OffloadTask,
     };

@@ -70,11 +70,6 @@ impl SigningKey {
         let response = k.add(self.secret.mul(challenge));
         Signature { commitment, response }
     }
-
-    /// Raw scalar access for protocol constructions (e.g. blinded keys).
-    pub fn secret_scalar(&self) -> Scalar {
-        self.secret
-    }
 }
 
 impl VerifyingKey {
@@ -101,11 +96,6 @@ impl VerifyingKey {
     pub fn from_bytes(bytes: &[u8; 32]) -> Option<VerifyingKey> {
         Element::from_bytes(bytes).map(|point| VerifyingKey { point })
     }
-
-    /// Creates from an existing element (e.g. a blinded public key).
-    pub fn from_element(point: Element) -> VerifyingKey {
-        VerifyingKey { point }
-    }
 }
 
 impl Signature {
@@ -131,7 +121,7 @@ impl Signature {
 
 /// Batch verification of many (message, key, signature) triples — the
 /// technique the paper's time-critical authentication citations rely on
-/// ([21] batch verification, [44] real-time signatures).
+/// (\[21\] batch verification, \[44\] real-time signatures).
 ///
 /// Uses small random weights `r_i` and one simultaneous multi-exponentiation:
 ///

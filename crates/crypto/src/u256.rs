@@ -103,11 +103,6 @@ impl U256 {
         self.limbs == [0; 4]
     }
 
-    /// `true` when the low bit is set.
-    pub fn is_odd(&self) -> bool {
-        self.limbs[0] & 1 == 1
-    }
-
     /// Bit `i` (0 = least significant).
     ///
     /// # Panics

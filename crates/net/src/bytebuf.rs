@@ -43,11 +43,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Appends a big-endian IEEE-754 `f64`.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Appends raw bytes.
     pub fn put_slice(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -103,16 +98,6 @@ impl<'a> ByteReader<'a> {
     pub fn get_u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_be_bytes(s.try_into().expect("8 bytes")))
     }
-
-    /// Consumes a big-endian IEEE-754 `f64`.
-    pub fn get_f64(&mut self) -> Option<f64> {
-        self.take(8).map(|s| f64::from_be_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    /// Consumes `N` bytes into a fixed array.
-    pub fn get_array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N).map(|s| s.try_into().expect("N bytes"))
-    }
 }
 
 #[cfg(test)]
@@ -125,15 +110,13 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_f64(-2.5);
         w.put_slice(b"tail");
-        assert_eq!(w.len(), 1 + 4 + 8 + 8 + 4);
+        assert_eq!(w.len(), 1 + 4 + 8 + 4);
         let frame = w.into_vec();
         let mut r = ByteReader::new(&frame);
         assert_eq!(r.get_u8(), Some(0xAB));
         assert_eq!(r.get_u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Some(0x0123_4567_89AB_CDEF));
-        assert_eq!(r.get_f64(), Some(-2.5));
         assert_eq!(r.take(4), Some(&b"tail"[..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.get_u8(), None);
@@ -155,13 +138,5 @@ mod tests {
         let mut r = ByteReader::new(&frame);
         let head = r.take(8).unwrap();
         assert_eq!(head.as_ptr(), frame.as_ptr(), "borrowed, not copied");
-    }
-
-    #[test]
-    fn get_array_reads_exact_width() {
-        let mut r = ByteReader::new(&[1, 2, 3, 4]);
-        assert_eq!(r.get_array::<3>(), Some([1, 2, 3]));
-        assert_eq!(r.get_array::<2>(), None);
-        assert_eq!(r.get_array::<1>(), Some([4]));
     }
 }

@@ -1,16 +1,15 @@
 //! The packet-level network simulation driver.
 //!
-//! Couples a [`Scenario`](vc_sim::scenario::Scenario) (mobility + radio)
-//! with a [`RoutingProtocol`]: each round the fleet moves, the neighbor
-//! table is rebuilt, and every live packet copy gets one forwarding
-//! opportunity over the lossy channel.
+//! Couples a [`Scenario`] (mobility + radio) with a [`RoutingProtocol`]:
+//! each round the fleet moves, the neighbor table is rebuilt, and every
+//! live packet copy gets one forwarding opportunity over the lossy channel.
 //!
 //! ## Parallel rounds
 //!
 //! The radio-bound hot loop fans out over worker threads in contiguous
 //! copy-index shards ([`map_shards`]). Each copy draws from its own RNG
 //! stream ([`SimRng::stream`] keyed by a per-round nonce and the copy's
-//! canonical index), workers compute pure [`CopyOutcome`]s against the
+//! canonical index), workers compute pure `CopyOutcome`s against the
 //! start-of-round snapshot, and the coordinator merges outcomes back in
 //! canonical index order — emitting events, updating statistics, and
 //! deduplicating same-round deliveries/forwards deterministically. The
@@ -20,11 +19,11 @@
 //! ## Shard-local recorders and causal traces
 //!
 //! When a [`Recorder`] is attached, each worker buffers its copy's radio
-//! events in the [`CopyOutcome`]'s shard-local [`EventBuf`]; the
+//! events in the `CopyOutcome`'s shard-local [`EventBuf`]; the
 //! coordinator absorbs the buffers in canonical copy order before replaying
 //! the copy's routing/causal events, so the merged stream byte-compares at
-//! every shard count. Packets selected by the deterministic
-//! [`Sampler`](vc_obs::Sampler) additionally carry a trace id and emit a
+//! every shard count. Packets selected by the deterministic [`Sampler`]
+//! additionally carry a trace id and emit a
 //! `causal.origin` → `causal.hop`* → `causal.deliver`/`causal.drop` chain
 //! (see `vc_obs::causal`).
 

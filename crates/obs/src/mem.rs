@@ -8,8 +8,9 @@
 //! * [`CountingAlloc`] — a `#[global_allocator]` wrapper over
 //!   [`std::alloc::System`] maintaining global live/peak bytes and
 //!   alloc/dealloc counts plus per-thread cumulative counters. Binaries opt
-//!   in with [`counting_allocator!`]; the libraries never install it, so
-//!   library consumers keep whatever allocator they chose.
+//!   in with [`counting_allocator!`](crate::counting_allocator); the
+//!   libraries never install it, so library consumers keep whatever
+//!   allocator they chose.
 //! * [`AllocScope`] — RAII delta capture over the current thread's
 //!   counters, used by the steady-state zero-alloc assertions and by
 //!   `vc_obs::profile` to report `allocs`/`bytes` per frame.
@@ -49,8 +50,8 @@ thread_local! {
 }
 
 /// A counting wrapper over the system allocator. Install per binary with
-/// [`counting_allocator!`]; when not installed, every counter stays zero
-/// and all reporting degrades to zeros.
+/// [`counting_allocator!`](crate::counting_allocator); when not installed,
+/// every counter stays zero and all reporting degrades to zeros.
 ///
 /// The counting path is allocation-free and never reads the environment:
 /// four relaxed atomics plus two thread-local `Cell`s (skipped without
@@ -136,7 +137,7 @@ pub struct MemStats {
 }
 
 /// Reads the process-wide counters. All zeros unless the binary installed
-/// [`counting_allocator!`].
+/// [`counting_allocator!`](crate::counting_allocator).
 pub fn stats() -> MemStats {
     MemStats {
         live_bytes: LIVE.load(Relaxed),

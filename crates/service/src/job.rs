@@ -176,7 +176,7 @@ fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
 }
 
 /// Runs a validated job to completion. `cancel` (when given) is polled
-/// every [`CHECK_EVERY_ROUNDS`] rounds; the same cadence re-measures the
+/// every `CHECK_EVERY_ROUNDS` rounds; the same cadence re-measures the
 /// deterministic heap footprint against [`MEM_BUDGET_BYTES`], so a
 /// cancelled or over-budget job stops within a bounded number of rounds.
 ///

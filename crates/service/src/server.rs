@@ -7,7 +7,7 @@
 //! all of them share one [`SupervisorHandle`].
 
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -205,11 +205,4 @@ pub fn bind_and_announce(config: &ServerConfig) -> io::Result<(Server, std::net:
     let server = Server::bind(config)?;
     let addr = server.local_addr()?;
     Ok((server, addr))
-}
-
-/// Resolves an address string early so bad `--addr` values fail fast.
-pub fn resolve_addr(addr: &str) -> io::Result<std::net::SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing"))
 }

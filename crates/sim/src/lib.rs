@@ -1,14 +1,15 @@
-//! # vc-sim — discrete-event VANET simulation substrate
+//! # vc-sim — fixed-step VANET simulation substrate
 //!
 //! The simulation substrate for the `vcloud` workspace: a deterministic
-//! discrete-event kernel, planar geometry, synthetic road networks, mobility
+//! fixed-step [`scenario`] (every experiment advances time with
+//! `Scenario::tick`), planar geometry, synthetic road networks, mobility
 //! models for the three vehicular-cloud regimes (parked, urban, highway), a
 //! probabilistic V2V radio with roadside units and a cellular uplink.
 //! Instrumented paths take an `Option<&mut vc_obs::Recorder>`.
 //!
-//! Everything is deterministic given a seed: the kernel orders simultaneous
-//! events FIFO, the RNG is a self-contained xoshiro256**, and mobility uses
-//! fixed integer-microsecond time.
+//! Everything is deterministic given a seed: the RNG is a self-contained
+//! xoshiro256** with per-vehicle streams, sharded steps merge in canonical
+//! vehicle order, and mobility uses fixed integer-microsecond time.
 //!
 //! ## Example
 //!
@@ -27,7 +28,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod geom;
 pub mod mobility;
 pub mod node;
@@ -42,7 +42,6 @@ pub use vc_obs::time;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
-    pub use crate::event::{EventQueue, Flow, QueueStats, Simulation};
     pub use crate::geom::{Point, Rect, Segment, SpatialGrid};
     pub use crate::mobility::{idm_acceleration, Fleet, IdmParams, Mobility, Vehicle};
     pub use crate::node::{

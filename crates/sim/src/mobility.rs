@@ -4,7 +4,7 @@
 //! parked fleets (stationary clouds), urban waypoint traffic over a road grid
 //! (infrastructure-based clouds around RSUs), and highway cruising (dynamic
 //! clouds with the highest churn). All models advance in fixed `dt` steps
-//! driven by the kernel and are deterministic given the seed.
+//! driven by `Scenario::tick` and are deterministic given the seed.
 //!
 //! Per-vehicle state is stored struct-of-arrays in [`Fleet`] (positions,
 //! velocities, online flags, and RNG streams in parallel vectors) so the
@@ -209,15 +209,6 @@ impl Fleet {
     /// Panics if the id is out of range.
     pub fn vehicle(&self, id: VehicleId) -> &Vehicle {
         &self.vehicles[id.0 as usize]
-    }
-
-    /// Mutable access to a vehicle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn vehicle_mut(&mut self, id: VehicleId) -> &mut Vehicle {
-        &mut self.vehicles[id.0 as usize]
     }
 
     /// Positions of all vehicles in id order (offline vehicles included).

@@ -41,17 +41,6 @@ impl Channel {
         }
     }
 
-    /// A short-range, high-bandwidth channel (mmWave-like) for contrast.
-    pub fn short_range() -> Self {
-        Channel {
-            range_m: 120.0,
-            reliable_fraction: 0.7,
-            bitrate_bps: 100_000_000.0,
-            contention_per_neighbor_s: 0.000_05,
-            base_loss: 0.01,
-        }
-    }
-
     /// Reception probability at `dist` meters: 1−`base_loss` inside the
     /// reliable zone, linearly falling to zero at `range_m`.
     pub fn reception_probability(&self, dist: f64) -> f64 {

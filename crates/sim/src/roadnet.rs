@@ -141,7 +141,7 @@ impl RoadNetwork {
 
     /// The intersection nearest to `p` (None for an empty network).
     ///
-    /// Served by the lazily built [`RoadIndex`]; bit-for-bit equal to
+    /// Served by the lazily built `RoadIndex`; bit-for-bit equal to
     /// [`Self::nearest_node_linear`] (same `distance_sq` comparisons, ties
     /// broken toward the lowest id exactly as `Iterator::min_by` keeps the
     /// first minimal element).

@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation substrate.
 
-use vc_sim::event::EventQueue;
 use vc_sim::geom::{Point, Rect, Segment, SpatialGrid};
 use vc_sim::mobility::Fleet;
 use vc_sim::rng::SimRng;
@@ -164,35 +163,6 @@ prop! {
         let mut sorted = v.clone();
         sorted.sort();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-    }
-
-    // ---- event queue ordering ----
-
-    #[test]
-    fn events_always_pop_ordered(times in vec(0u64..10_000, 1..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    #[test]
-    fn equal_times_fifo(n in 1usize..40) {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..n {
-            q.schedule(t, i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
     // ---- sharded mobility determinism ----

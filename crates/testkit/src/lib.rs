@@ -7,13 +7,13 @@
 //! network availability is neither. `vc-testkit` therefore replaces two of
 //! the external tools the workspace used to lean on:
 //!
-//! - [`prop`] — a seeded property-testing harness (replaces `proptest`).
-//!   Cases are generated from the simulator's own deterministic
+//! - [`prop`](mod@prop) — a seeded property-testing harness (replaces
+//!   `proptest`). Cases are generated from the simulator's own deterministic
 //!   [`vc_sim::rng::SimRng`], so a failing case is reproducible from the
 //!   printed seed alone. Failures are shrunk with a bounded greedy pass.
-//! - [`bench`] — a micro-benchmark harness (replaces `criterion`): warmup,
-//!   fixed iteration batches, median/p95 wall-clock, and a `BENCH_*.json`
-//!   artifact per suite.
+//! - [`bench`](mod@bench) — a micro-benchmark harness (replaces
+//!   `criterion`): warmup, fixed iteration batches, median/p95 wall-clock,
+//!   and a `BENCH_*.json` artifact per suite.
 //!
 //! The third, a small hand-rolled JSON writer (replaces `serde_json`), is
 //! `vc_obs::json`: it lives in the workspace's bottom crate so every layer

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod classifier;
-pub mod provenance;
 pub mod report;
 pub mod reputation;
 pub mod validators;
@@ -50,9 +49,6 @@ pub mod validators;
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::classifier::{classify, ClassifierConfig};
-    pub use crate::provenance::{
-        multi_path_trust, path_trust, NodeTrust, ProvenanceConfig, ProvenancePath, ProvenanceStep,
-    };
     pub use crate::report::{path_overlap, EventCluster, EventKind, Report};
     pub use crate::reputation::ReputationStore;
     pub use crate::validators::{

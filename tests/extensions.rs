@@ -1,7 +1,6 @@
-//! Integration: the extension modules working together — secure beaconing
-//! feeding clustering, encrypted checkpoint handover between scheduler
-//! hosts, directory-driven placement, verifiable execution with reputation
-//! feedback, batch-verified beacon floods.
+//! Integration: the extension modules working together — batch-verified
+//! beacon floods feeding the beacon store, encrypted checkpoint handover
+//! between scheduler hosts, verifiable execution with reputation feedback.
 
 use std::collections::BTreeMap;
 use vcloud::cloud::handover::{open_checkpoint, seal_checkpoint, Checkpoint};
@@ -31,28 +30,18 @@ fn signed_beacon_flood_batch_verifies() {
         })
         .collect();
 
-    // Batch path: reconstruct the signed bytes exactly as the beacon module
-    // does (via verify_beacon equivalence on each item first).
-    for (i, sb) in beacons.iter().enumerate() {
-        assert!(vcloud::net::beacon::verify_beacon(sb, &keys[i].verifying_key()));
-    }
-    // And the underlying signatures batch-verify as one multi-exponentiation.
-    let payloads: Vec<Vec<u8>> = beacons
+    // The flood's own (payload, key, signature) triples batch-verify as one
+    // multi-exponentiation; one forged signature fails the whole batch.
+    let payloads: Vec<Vec<u8>> = beacons.iter().map(|sb| sb.beacon.bytes()).collect();
+    let mut items: Vec<(&[u8], VerifyingKey, Signature)> = beacons
         .iter()
-        .map(|sb| {
-            // The beacon byte encoding is private; sign an equal payload to
-            // exercise batch_verify itself at flood scale.
-            sb.beacon.sender.0.to_be_bytes().to_vec()
-        })
+        .zip(&payloads)
+        .zip(&keys)
+        .map(|((sb, p), k)| (p.as_slice(), k.verifying_key(), sb.signature))
         .collect();
-    let items: Vec<(Vec<u8>, VerifyingKey, Signature)> = payloads
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), keys[i].verifying_key(), keys[i].sign(p)))
-        .collect();
-    let refs: Vec<(&[u8], VerifyingKey, Signature)> =
-        items.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
-    assert!(batch_verify(&refs, b"flood"));
+    assert!(batch_verify(&items, b"flood"));
+    items[7].2 = items[8].2;
+    assert!(!batch_verify(&items, b"flood"));
 
     // Store ingestion gives the verified neighbor view.
     let mut store = BeaconStore::new(SimDuration::from_secs(1));
@@ -78,46 +67,6 @@ fn checkpoint_survives_host_hop_and_feeds_scheduler_state() {
     let spec = TaskSpec::compute(TaskId(5), 400.0);
     let remaining = spec.work_gflop - received.done_gflop;
     assert_eq!(remaining, 150.0);
-}
-
-#[test]
-fn directory_feeds_scheduler_hosts() {
-    let mut dir = vcloud::cloud::directory::ResourceDirectory::new();
-    for i in 0..6u32 {
-        let res = if i < 3 { Resources::high_end() } else { Resources::modest() };
-        let level = if i < 3 { SaeLevel::L5 } else { SaeLevel::L2 };
-        dir.register(VehicleId(i), res, level);
-    }
-    // A lidar-requiring task can only land on the high-end trio.
-    let req = vcloud::cloud::directory::Requirement {
-        min_cpu_gflops: 50.0,
-        min_automation: Some(SaeLevel::L3),
-        sensors: SensorSuite { lidar: true, ..SensorSuite::default() },
-        ..Default::default()
-    };
-    let eligible = dir.query(&req);
-    assert_eq!(eligible.len(), 3);
-
-    // Turn the query result into scheduler hosts and run a job.
-    let hosts: Vec<HostInfo> = eligible
-        .iter()
-        .map(|&id| HostInfo {
-            id,
-            cpu_gflops: dir.free_cpu(id),
-            automation: SaeLevel::L5,
-            stay_estimate_s: 600.0,
-        })
-        .collect();
-    let mut sched = Scheduler::new(SchedulerConfig::default());
-    for i in 0..3 {
-        sched.submit(TaskSpec::compute(TaskId(i), 100.0), SimTime::ZERO);
-    }
-    let mut now = SimTime::ZERO;
-    for _ in 0..5 {
-        now += SimDuration::from_secs(1);
-        sched.tick(now, 1.0, &hosts, None);
-    }
-    assert_eq!(sched.stats().completed, 3);
 }
 
 #[test]
@@ -154,26 +103,4 @@ fn verifiable_execution_feeds_reputation() {
     }
     assert!(reputation.reliability(2) < 0.2, "cheater discounted");
     assert!(reputation.reliability(0) > 0.8, "honest hosts credited");
-}
-
-#[test]
-fn provenance_trust_integrates_with_node_history() {
-    use vcloud::trust::provenance::{
-        multi_path_trust, NodeTrust, ProvenanceConfig, ProvenancePath,
-    };
-    // Node trust bootstrapped from verifiable-execution outcomes above:
-    let mut nodes = NodeTrust::new();
-    nodes.set(VehicleId(0), 0.9);
-    nodes.set(VehicleId(1), 0.9);
-    nodes.set(VehicleId(2), 0.1); // the known cheater relays too
-    let cfg = ProvenanceConfig::default();
-    let clean = ProvenancePath::new(VehicleId(0), &[VehicleId(1)]);
-    let dirty = ProvenancePath::new(VehicleId(0), &[VehicleId(2)]);
-    let clean_trust = multi_path_trust(std::slice::from_ref(&clean), &nodes, &cfg);
-    let dirty_trust = multi_path_trust(std::slice::from_ref(&dirty), &nodes, &cfg);
-    assert!(clean_trust > 3.0 * dirty_trust);
-    // Corroboration over both paths beats the dirty path alone but cannot
-    // exceed 1.
-    let both = multi_path_trust(&[clean, dirty], &nodes, &cfg);
-    assert!(both > dirty_trust && both <= 1.0);
 }
